@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.data.ucr_format import UCRDataset
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "SHARD_SCHEMA_VERSION",
@@ -477,14 +477,14 @@ class ShardedDataset:
         """Yield ``(series, labels)`` blocks bounded by the memory budget.
 
         ``max_rows`` caps rows per block explicitly; by default the cap is
-        derived from :func:`repro.memory.resolve_block_bytes` so a sweep
+        derived from :func:`repro.memory.get_memory_budget` so a sweep
         under ``REPRO_MAX_BLOCK_BYTES`` never stages more than one budget's
         worth of exemplars at a time.  Blocks never span shards, so each
         yield touches exactly one memmap.
         """
         if max_rows is None:
             max_rows = max(
-                1, resolve_block_bytes() // (self.series_length * self.n_channels * 8)
+                1, get_memory_budget() // (self.series_length * self.n_channels * 8)
             )
         if max_rows < 1:
             raise ValueError("max_rows must be >= 1")

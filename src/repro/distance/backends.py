@@ -65,7 +65,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.distance.dtw import _resolve_band, dtw_band_envelopes, lb_keogh, lb_kim
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "BACKENDS",
@@ -380,7 +380,6 @@ def pruned_dtw_nearest_neighbors(
     dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
     chunk_pairs: int = _DP_CHUNK_PAIRS,
-    max_block_bytes: int | None = None,
     envelope_cache: object | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
@@ -415,11 +414,6 @@ def pruned_dtw_nearest_neighbors(
         counts (the benchmark's pruning-rate metric).
     chunk_pairs:
         Survivor pairs per early-abandoning wavefront call.
-    max_block_bytes:
-        Byte budget for the gathered LB_Keogh temporaries; ``None``
-        (default) resolves the unified :mod:`repro.memory` budget
-        (``set_memory_budget`` > ``REPRO_MAX_BLOCK_BYTES`` > 64 MiB), an
-        explicit value is a deprecated per-call override that still wins.
     envelope_cache:
         Optional :class:`repro.distance.dtw.EnvelopeCache`; when given, the
         train-side band envelopes are fetched from (and stored into) it
@@ -440,7 +434,6 @@ def pruned_dtw_nearest_neighbors(
         dtype=dtype,
         return_stats=return_stats,
         chunk_pairs=chunk_pairs,
-        max_block_bytes=max_block_bytes,
         envelope_cache=envelope_cache,
         kernels=None,
         backend_label="pruned",
@@ -455,7 +448,6 @@ def compiled_dtw_nearest_neighbors(
     dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
     chunk_pairs: int | None = None,
-    max_block_bytes: int | None = None,
     envelope_cache: object | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
@@ -489,7 +481,6 @@ def compiled_dtw_nearest_neighbors(
             dtype=dtype,
             return_stats=return_stats,
             chunk_pairs=_DP_CHUNK_PAIRS if chunk_pairs is None else chunk_pairs,
-            max_block_bytes=max_block_bytes,
             envelope_cache=envelope_cache,
         )
     from repro.distance.kernels import cascade
@@ -502,7 +493,6 @@ def compiled_dtw_nearest_neighbors(
         dtype=dtype,
         return_stats=return_stats,
         chunk_pairs=chunk_pairs,
-        max_block_bytes=max_block_bytes,
         envelope_cache=envelope_cache,
         kernels=cascade,
         backend_label="compiled",
@@ -518,7 +508,6 @@ def _cascade_search(
     dtype: np.dtype | type,
     return_stats: bool,
     chunk_pairs: int | None,
-    max_block_bytes: int | None,
     envelope_cache: object | None,
     kernels,
     backend_label: str,
@@ -548,7 +537,7 @@ def _cascade_search(
     k = int(n_neighbors)
     if not 1 <= k <= n_train:
         raise ValueError(f"n_neighbors must be in [1, {n_train}], got {n_neighbors}")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    block_bytes = get_memory_budget()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError("dtype must be float32 or float64")

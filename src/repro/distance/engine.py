@@ -22,26 +22,30 @@ round-off (the equivalence tests assert ``<= 1e-10``) -- this is *not* the
 dot-product expansion used by :func:`~repro.distance.euclidean.pairwise_euclidean`,
 which trades a little accuracy for BLAS throughput.
 
-Four entry points:
+Two kernels compute every prefix-Euclidean distance in the package:
 
-* :class:`PrefixDistanceEngine` -- stateful: start a batch of queries, then
-  :meth:`~PrefixDistanceEngine.advance_to` successive lengths and read the
-  current distances.  Used by the classifiers' incremental prediction walk.
-* :meth:`PrefixDistanceEngine.open` -- hand out an *independent*
-  :class:`PrefixSweep` sharing the engine's training matrix.  Many sweeps can
-  be live at once, each at its own prefix length, which is what the online
-  streaming detector needs: every overlapping candidate window on a stream is
-  one concurrent sweep.
-* :func:`iter_prefix_distances` -- generator over ``(length, distances)``
-  snapshots; used by training loops that need one distance matrix per
-  checkpoint without holding all of them in memory at once.
-* :func:`pairwise_prefix_distances` -- the batched convenience wrapper that
-  stacks the snapshots into one ``(n_lengths, n_queries, n_train)`` array.
-* :func:`batch_prefix_distances` -- the test-set-at-once kernel: the same
-  ``(n_lengths, n_queries, n_train)`` array computed by cumulative-sum matrix
-  algebra in one shot (no per-length Python iteration), chunked over queries
-  to bound the working set.  This is what the classifiers'
-  ``predict_early_batch`` fast paths are built on.
+* the **incremental sweep** -- :meth:`PrefixDistanceEngine.open` hands out a
+  :class:`PrefixSweep` over the engine's shared training matrix, and
+  :meth:`PrefixSweep.advance_to` adds one ``(q_t - x_t)^2`` column per new
+  sample.  Many sweeps can be live at once, each at its own prefix length:
+  the classifiers' per-exemplar prediction walk keeps one, and the online
+  streaming detector keeps one per overlapping candidate window.  It wins
+  when samples arrive one at a time, and on dense length grids: for every
+  length of 20 queries against 100 training series of 300 samples it ran
+  6.5-7.8x faster than per-length recomputation and the cumulative-sum
+  gather 3.2-3.7x (best of 5, 2 CPUs, numpy 2.4).
+  :func:`iter_prefix_distances` (one ``(length, distances)``
+  snapshot per checkpoint) and :func:`pairwise_prefix_distances` (the
+  snapshots stacked into ``(n_lengths, n_queries, n_train)``) drive one
+  such sweep.
+* the **cumulative-sum gather** -- one :func:`numpy.cumsum` of the squared
+  differences along the time axis, then a per-row column gather, chunked
+  over queries against the :mod:`repro.memory` budget.  It wins when a
+  whole test set is asked a few lengths at once: there is no Python-level
+  step per length.  :func:`batch_prefix_distances` asks every query the same
+  length grid (the classifiers' ``predict_early_batch`` fast paths and the
+  sharded sweep); :func:`ragged_prefix_distances` asks each query its own
+  length (the serving layer's coalesced flush).
 
 For DTW, :class:`PrefixDTWEngine` keeps one dynamic-programming row per
 training series so extending the query prefix by one sample costs
@@ -79,7 +83,7 @@ from repro.distance.backends import (
     resolve_backend,
 )
 from repro.distance.dtw import EnvelopeCache, _resolve_band, _wavefront_accumulated_cost
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "PrefixDistanceEngine",
@@ -213,6 +217,41 @@ def _as_query_tensor(
     return arr
 
 
+def _flatten_train(train: np.ndarray) -> tuple[np.ndarray, int]:
+    """Validated, time-major flattened training matrix and its channel count."""
+    return _flatten_time_major(_as_train_tensor(train))
+
+
+def _flat_queries(
+    queries: np.ndarray,
+    channels: int,
+    max_length: int,
+    batch_only: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Validate prefix-kernel queries; return them time-major flat, with their length.
+
+    ``batch_only`` rejects the single-exemplar promotion of
+    :func:`_as_query_tensor`.  The query length (in time steps) must lie in
+    ``[1, max_length]``.
+    """
+    arr = np.asarray(queries, dtype=float)
+    if batch_only and arr.ndim != (2 if channels == 1 else 3):
+        raise ValueError(
+            "queries must be a 2-D (n_queries, length) batch"
+            if channels == 1
+            else f"queries must be a 3-D (n_queries, length, {channels}) batch "
+            f"matching the training channels; got shape {arr.shape}"
+        )
+    arr = _as_query_tensor(arr, channels)
+    if arr.shape[1] > max_length:
+        raise ValueError(
+            f"query length {arr.shape[1]} exceeds training length {max_length}"
+        )
+    if arr.shape[1] < 1:
+        raise ValueError("queries must contain at least one sample")
+    return _flatten_time_major(arr)[0], arr.shape[1]
+
+
 class PrefixSweep:
     """One independent prefix-distance sweep over a shared training matrix.
 
@@ -318,7 +357,7 @@ class PrefixSweep:
 
 
 class PrefixDistanceEngine:
-    """Running squared-Euclidean prefix distances against a fixed training set.
+    """A fixed training set that prefix-distance sweeps are opened against.
 
     Parameters
     ----------
@@ -332,30 +371,25 @@ class PrefixDistanceEngine:
     --------
     >>> import numpy as np
     >>> train = np.arange(12.0).reshape(3, 4)
-    >>> engine = PrefixDistanceEngine(train).start(train[:1])
-    >>> squared = engine.advance_to(2)
-    >>> bool(np.isclose(engine.distances()[0, 0], 0.0))
+    >>> sweep = PrefixDistanceEngine(train).open(train[:1])
+    >>> squared = sweep.advance_to(2)
+    >>> bool(np.isclose(sweep.distances()[0, 0], 0.0))
     True
 
     Notes
     -----
-    Sweeps are deliberately restricted to *monotonically growing* prefixes
-    (``advance_to`` with a smaller length raises); restarting a query batch
-    is a :meth:`start` call, which is O(n_queries * n_train).  The engine's
-    own ``start``/``advance_to`` surface drives a single current sweep (the
-    one-exemplar-at-a-time pattern of ``predict_early``); :meth:`open` hands
-    out independent :class:`PrefixSweep` objects for callers that need many
-    concurrent sweeps over the same training matrix.
+    The engine holds only the transposed training matrix; all running state
+    lives in the :class:`PrefixSweep` objects :meth:`open` hands out, so any
+    number of sweeps can share one engine.  Sweeps only grow (``advance_to``
+    with a smaller length raises); restarting a query batch is another
+    :meth:`open` call, which is O(n_queries * n_train).
     """
 
     def __init__(self, train: np.ndarray) -> None:
-        tensor = _as_train_tensor(train)
-        self._train, self._channels = _flatten_time_major(tensor)
-        self._time_length = int(tensor.shape[1])
+        self._train, self._channels = _flatten_train(train)
         # The inner loop reads one training *column* per new sample; a
         # contiguous transpose keeps those reads cache-friendly.
         self._train_t = np.ascontiguousarray(self._train.T)
-        self._sweep: PrefixSweep | None = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -366,35 +400,20 @@ class PrefixDistanceEngine:
     @property
     def train_length(self) -> int:
         """Time length of the training series (the maximum prefix length)."""
-        return self._time_length
+        return self._train.shape[1] // self._channels
 
     @property
     def n_channels(self) -> int:
         """Channels per time step (1 for univariate training data)."""
         return self._channels
 
-    @property
-    def length(self) -> int:
-        """Prefix length the engine's current sweep has consumed."""
-        return 0 if self._sweep is None else self._sweep.length
-
-    @property
-    def n_queries(self) -> int:
-        """Number of query series in the current sweep (requires :meth:`start`)."""
-        return self._require_started().n_queries
-
-    @property
-    def query_length(self) -> int:
-        """Length of the current query series (requires :meth:`start`)."""
-        return self._require_started().query_length
-
     # ------------------------------------------------------------ streaming
     def open(self, queries: np.ndarray) -> PrefixSweep:
         """Open an independent sweep over ``queries`` sharing this training matrix.
 
-        Unlike :meth:`start`, the returned :class:`PrefixSweep` carries its
-        own running state, so any number of opened sweeps can be advanced
-        concurrently -- one per overlapping candidate window on a stream.
+        The returned :class:`PrefixSweep` carries its own running state, so
+        any number of opened sweeps can be advanced concurrently -- one per
+        overlapping candidate window on a stream.
 
         Parameters
         ----------
@@ -409,38 +428,8 @@ class PrefixDistanceEngine:
             exemplar up front (or a buffer filled in as samples arrive) and
             still evaluate it incrementally.
         """
-        arr = _as_query_tensor(queries, self._channels)
-        if arr.shape[1] > self.train_length:
-            raise ValueError(
-                f"query length {arr.shape[1]} exceeds training length "
-                f"{self.train_length}"
-            )
-        if arr.shape[1] < 1:
-            raise ValueError("queries must contain at least one sample")
-        flat, _ = _flatten_time_major(arr)
+        flat, _ = _flat_queries(queries, self._channels, self.train_length)
         return PrefixSweep(self._train_t, flat, self._channels)
-
-    def start(self, queries: np.ndarray) -> "PrefixDistanceEngine":
-        """Begin a new sweep over a batch of query series (replacing the current one)."""
-        self._sweep = self.open(queries)
-        return self
-
-    def _require_started(self) -> PrefixSweep:
-        if self._sweep is None:
-            raise RuntimeError("call start() before advancing the engine")
-        return self._sweep
-
-    def advance_to(self, length: int) -> np.ndarray:
-        """Advance the current sweep; see :meth:`PrefixSweep.advance_to`."""
-        return self._require_started().advance_to(length)
-
-    def squared_distances(self) -> np.ndarray:
-        """Copy of the current squared prefix distances, shape ``(n_queries, n_train)``."""
-        return self._require_started().squared_distances()
-
-    def distances(self) -> np.ndarray:
-        """Current Euclidean prefix distances of the current sweep."""
-        return self._require_started().distances()
 
 
 def iter_prefix_distances(
@@ -474,9 +463,9 @@ def iter_prefix_distances(
         The prefix length and the ``(n_queries, n_train)`` distance matrix.
         The matrix is freshly allocated at each yield and safe to mutate.
     """
-    engine = PrefixDistanceEngine(train).start(queries)
-    for length in _validated_lengths(lengths, engine.query_length):
-        sq = engine.advance_to(length)
+    sweep = PrefixDistanceEngine(train).open(queries)
+    for length in _validated_lengths(lengths, sweep.query_length):
+        sq = sweep.advance_to(length)
         yield length, (sq.copy() if squared else np.sqrt(sq))
 
 
@@ -505,15 +494,50 @@ def pairwise_prefix_distances(
         ``result[k]`` is the distance matrix between the length-``lengths[k]``
         prefixes of every query and every training series.
     """
-    engine = PrefixDistanceEngine(train).start(queries)
-    lengths = _validated_lengths(lengths, engine.query_length)
-    out = np.empty((len(lengths), engine.n_queries, engine.n_train))
+    engine = PrefixDistanceEngine(train)
+    sweep = engine.open(queries)
+    lengths = _validated_lengths(lengths, sweep.query_length)
+    out = np.empty((len(lengths), sweep.n_queries, engine.n_train))
     for k, length in enumerate(lengths):
-        sq = engine.advance_to(length)
+        sq = sweep.advance_to(length)
         if squared:
             out[k] = sq
         else:
             np.sqrt(sq, out=out[k])
+    return out
+
+
+def _squared_prefix_gather(
+    queries: np.ndarray, train: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """The cumulative-sum core behind the batch and ragged prefix kernels.
+
+    ``queries`` ``(n_queries, Q)`` and ``train`` ``(n_train, T)`` are
+    time-major flat matrices; ``columns`` ``(n_queries, k)`` holds, per query
+    row, the last flat index of each prefix to report.  Per chunk of query
+    rows the squared differences are accumulated along the flat time axis
+    with one :func:`numpy.cumsum` and gathered with ``block[rows, :, cols]``.
+    Chunks are sized so the ``(chunk, n_train, max(columns) + 1)`` float64
+    block fits the :mod:`repro.memory` budget; chunking never changes a bit.
+
+    Returns the ``(k, n_queries, n_train)`` squared prefix distances.
+    """
+    n_queries, n_train = queries.shape[0], train.shape[0]
+    out = np.empty((columns.shape[1], n_queries, n_train))
+    if n_queries == 0:
+        return out
+    full = int(columns.max()) + 1
+    chunk = max(1, int(get_memory_budget() // (n_train * full * 8)))
+    train_prefix = train[None, :, :full]
+    rows = np.arange(min(chunk, n_queries))[:, None]
+    for start in range(0, n_queries, chunk):
+        stop = min(start + chunk, n_queries)
+        block = queries[start:stop, None, :full] - train_prefix
+        np.square(block, out=block)
+        np.cumsum(block, axis=2, out=block)
+        # (chunk, k, n_train) -> (k, chunk, n_train)
+        gathered = block[rows[: stop - start], :, columns[start:stop]]
+        out[:, start:stop] = np.moveaxis(gathered, 1, 0)
     return out
 
 
@@ -522,11 +546,10 @@ def batch_prefix_distances(
     train: np.ndarray,
     lengths: Sequence[int],
     squared: bool = False,
-    max_block_bytes: int | None = None,
 ) -> np.ndarray:
     """All (query, train, prefix-length) Euclidean distances in one shot.
 
-    Where :func:`pairwise_prefix_distances` drives the incremental engine
+    Where :func:`pairwise_prefix_distances` drives the incremental sweep
     through one Python-level ``advance_to`` per requested length, this kernel
     expresses the whole ``(n_queries, n_train, n_lengths)`` problem as
     cumulative-sum matrix algebra: the squared differences
@@ -535,7 +558,9 @@ def batch_prefix_distances(
     lookup into that running sum.  The accumulation is the *exact* term
     sequence the per-row :class:`PrefixSweep` adds one sample at a time, so
     the two paths agree to the last bit on the dominant single-step walk and
-    to ``<= 1e-10`` always (the equivalence tests pin both).
+    to ``<= 1e-10`` always (the equivalence tests pin both).  Queries are
+    chunked against the :mod:`repro.memory` budget, so arbitrarily large test
+    sets run in bounded memory.
 
     Parameters
     ----------
@@ -550,13 +575,6 @@ def batch_prefix_distances(
     squared:
         Return squared distances (saves the square root when only the
         neighbour *ordering* matters).
-    max_block_bytes:
-        Upper bound on the ``(chunk, n_train, max(lengths))`` float64
-        temporary; queries are processed in chunks sized to respect it, so
-        arbitrarily large test sets run in bounded memory.  ``None``
-        (default) resolves the unified :mod:`repro.memory` budget
-        (``set_memory_budget`` > ``REPRO_MAX_BLOCK_BYTES`` > 64 MiB); an
-        explicit value is a deprecated per-call override that still wins.
 
     Returns
     -------
@@ -565,47 +583,23 @@ def batch_prefix_distances(
         ``result[k]`` is the distance matrix between the length-``lengths[k]``
         prefixes of every query and every training series.
     """
-    train_tensor = _as_train_tensor(train)
-    train, channels = _flatten_time_major(train_tensor)
-    arr = _as_query_tensor(queries, channels)
-    if arr.shape[1] > train_tensor.shape[1]:
-        raise ValueError(
-            f"query length {arr.shape[1]} exceeds training length "
-            f"{train_tensor.shape[1]}"
-        )
-    if arr.shape[1] < 1:
-        raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
-    lengths = _validated_lengths(lengths, arr.shape[1])
-    arr, _ = _flatten_time_major(arr)
+    train, channels = _flatten_train(train)
+    arr, length = _flat_queries(queries, channels, train.shape[1] // channels)
+    lengths = _validated_lengths(lengths, length)
     # Time prefix t <-> flat prefix t * d of the time-major flattening; the
-    # cumulative sum below therefore answers every time length via a flat
-    # column gather, with no channel-specific arithmetic at all.
-    full = lengths[-1] * channels
-    n_queries, n_train = arr.shape[0], train.shape[0]
+    # cumulative sum therefore answers every time length via a flat column
+    # gather, with no channel-specific arithmetic at all.
     columns = np.asarray(lengths) * channels - 1
 
     kernels = _compiled_kernels()
     if kernels is not None:
         # The scalar kernel advances one running sum per pair in exactly
         # np.cumsum's sequential term order, so this route is bit-identical
-        # to the blocked path below (and allocates no (chunk, n_train, L)
-        # tensor at all).
+        # to the blocked path (and allocates no (chunk, n_train, L) tensor).
         out = kernels.run_batch_prefix(arr, train, columns)
-        if not squared:
-            np.sqrt(out, out=out)
-        return out
-
-    out = np.empty((len(lengths), n_queries, n_train))
-    chunk = max(1, int(block_bytes // (n_train * full * 8)))
-    train_prefix = train[None, :, :full]
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        block = arr[start:stop, None, :full] - train_prefix
-        np.square(block, out=block)
-        np.cumsum(block, axis=2, out=block)
-        # (chunk, n_train, n_lengths) -> (n_lengths, chunk, n_train)
-        out[:, start:stop, :] = np.moveaxis(block[:, :, columns], 2, 0)
+    else:
+        shared = np.broadcast_to(columns, (arr.shape[0], columns.shape[0]))
+        out = _squared_prefix_gather(arr, train, shared)
     if not squared:
         np.sqrt(out, out=out)
     return out
@@ -616,7 +610,6 @@ def ragged_prefix_distances(
     train: np.ndarray,
     lengths: Sequence[int],
     squared: bool = False,
-    max_block_bytes: int | None = None,
 ) -> np.ndarray:
     """Prefix distances of many queries, each at its *own* prefix length.
 
@@ -626,9 +619,10 @@ def ragged_prefix_distances(
     concurrent streams are each part-way through a candidate window -- what
     are everyone's 1-NN distances *right now*?" in one fused pass.  Row ``i``
     of the result is the distance between ``queries[i, :lengths[i]]`` and the
-    corresponding prefix of every training series: one cumulative sum over
-    the time axis and a per-row column gather, instead of one Python-level
-    sweep per distinct length.
+    corresponding prefix of every training series.  It runs the same
+    cumulative-sum core as :func:`batch_prefix_distances` with one gathered
+    column per row, so a uniform ``lengths`` reproduces that kernel bit for
+    bit.
 
     The accumulation is the same ``(q_t - x_t)^2`` term sequence the
     incremental :class:`PrefixSweep` adds one sample at a time, so the two
@@ -652,9 +646,6 @@ def ragged_prefix_distances(
         (not necessarily sorted or distinct).
     squared:
         Return squared distances (the neighbour ordering is the same).
-    max_block_bytes:
-        Upper bound on the ``(chunk, n_train, L)`` float64 temporary;
-        ``None`` resolves the unified :mod:`repro.memory` budget.
 
     Returns
     -------
@@ -662,54 +653,22 @@ def ragged_prefix_distances(
         ``(n_queries, n_train)`` distances; row ``i`` evaluated at
         ``lengths[i]``.
     """
-    train_tensor = _as_train_tensor(train)
-    train, channels = _flatten_time_major(train_tensor)
-    arr = np.asarray(queries, dtype=float)
-    if (channels == 1 and arr.ndim != 2) or (channels > 1 and arr.ndim != 3):
-        raise ValueError(
-            "queries must be a 2-D (n_queries, length) batch"
-            if channels == 1
-            else f"queries must be a 3-D (n_queries, length, {channels}) batch "
-            f"matching the training channels; got shape {arr.shape}"
-        )
-    arr = _as_query_tensor(arr, channels)
-    if arr.shape[1] > train_tensor.shape[1]:
-        raise ValueError(
-            f"query length {arr.shape[1]} exceeds training length "
-            f"{train_tensor.shape[1]}"
-        )
-    if arr.shape[1] < 1:
-        raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    train, channels = _flatten_train(train)
+    arr, length = _flat_queries(
+        queries, channels, train.shape[1] // channels, batch_only=True
+    )
     per_row = np.asarray([int(v) for v in lengths], dtype=np.intp)
     if per_row.shape[0] != arr.shape[0]:
         raise ValueError("need exactly one prefix length per query row")
-    if per_row.size and (per_row.min() < 1 or per_row.max() > arr.shape[1]):
-        raise ValueError(f"lengths must lie in [1, {arr.shape[1]}]")
-    arr, _ = _flatten_time_major(arr)
+    if per_row.size and (per_row.min() < 1 or per_row.max() > length):
+        raise ValueError(f"lengths must lie in [1, {length}]")
+    columns = per_row * channels - 1
 
-    n_queries, n_train = arr.shape[0], train.shape[0]
-    out = np.empty((n_queries, n_train))
-    if n_queries == 0:
-        return out
     kernels = _compiled_kernels()
-    if kernels is not None:
-        out = kernels.run_ragged_prefix(arr, train, per_row * channels - 1)
-        if not squared:
-            np.sqrt(out, out=out)
-        return out
-    full = int(per_row.max()) * channels
-    chunk = max(1, int(block_bytes // (n_train * full * 8)))
-    train_prefix = train[None, :, :full]
-    rows = np.arange(n_queries)
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        block = arr[start:stop, None, :full] - train_prefix
-        np.square(block, out=block)
-        np.cumsum(block, axis=2, out=block)
-        out[start:stop] = block[
-            rows[start:stop] - start, :, per_row[start:stop] * channels - 1
-        ]
+    if kernels is not None and arr.shape[0]:
+        out = kernels.run_ragged_prefix(arr, train, columns)
+    else:
+        out = _squared_prefix_gather(arr, train, columns[:, None])[0]
     if not squared:
         np.sqrt(out, out=out)
     return out
@@ -719,7 +678,6 @@ def dtw_pairwise_distances(
     queries: np.ndarray,
     train: np.ndarray,
     window: int | float | None = None,
-    max_block_bytes: int | None = None,
     dtype: np.dtype | type = np.float64,
     backend: str | None = None,
 ) -> np.ndarray:
@@ -750,10 +708,6 @@ def dtw_pairwise_distances(
         :func:`~repro.distance.dtw.dtw_distance`: ``None`` unconstrained, an
         ``int`` an absolute width, a float in [0, 1] a fraction of the longer
         length.  All pairs share one shape, hence one resolved band.
-    max_block_bytes:
-        Upper bound on the per-chunk cost tensors; queries are chunked so
-        arbitrarily large batches run in bounded memory.  ``None`` resolves
-        the unified :mod:`repro.memory` budget.
     dtype:
         Accumulation dtype of the dynamic program: ``np.float64`` (default,
         bit-identical to the scalar reference) or ``np.float32`` (halves the
@@ -787,7 +741,6 @@ def dtw_pairwise_distances(
     arr = _as_query_tensor(queries, channels)
     if arr.shape[1] < 1:
         raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError("dtype must be float32 or float64")
@@ -807,7 +760,7 @@ def dtw_pairwise_distances(
     # per channel for multichannel input, so one extra diff temporary) plus
     # the (n_train, n + 1, m + 1) accumulated-cost tensor.
     per_query = n_train * ((1 + min(channels, 2)) * n * m + (n + 1) * (m + 1)) * dt.itemsize
-    chunk = max(1, int(block_bytes // per_query))
+    chunk = max(1, int(get_memory_budget() // per_query))
     for start in range(0, n_queries, chunk):
         stop = min(start + chunk, n_queries)
         if channels == 1:
@@ -856,7 +809,6 @@ def dtw_nearest_neighbors(
     backend: str | None = None,
     dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
-    max_block_bytes: int | None = None,
     envelope_cache: EnvelopeCache | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
@@ -895,9 +847,6 @@ def dtw_nearest_neighbors(
     return_stats:
         Also return a :class:`repro.distance.backends.DTWSearchStats`.  The
         reference backend reports a fully dense search (pruning rate 0).
-    max_block_bytes:
-        Byte budget forwarded to the underlying kernels (``None`` resolves
-        the unified :mod:`repro.memory` budget there).
     envelope_cache:
         Optional :class:`repro.distance.dtw.EnvelopeCache` forwarded to the
         cascade backends so the train-side envelopes are computed once per
@@ -919,7 +868,6 @@ def dtw_nearest_neighbors(
             n_neighbors=n_neighbors,
             dtype=dtype,
             return_stats=return_stats,
-            max_block_bytes=max_block_bytes,
             envelope_cache=envelope_cache,
         )
     if name == "compiled":
@@ -930,14 +878,12 @@ def dtw_nearest_neighbors(
             n_neighbors=n_neighbors,
             dtype=dtype,
             return_stats=return_stats,
-            max_block_bytes=max_block_bytes,
             envelope_cache=envelope_cache,
         )
     distances = dtw_pairwise_distances(
         queries,
         train,
         window=window,
-        max_block_bytes=max_block_bytes,
         dtype=dtype,
         backend="reference",
     )

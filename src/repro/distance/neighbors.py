@@ -8,13 +8,12 @@ and the classifier used for the prefix-accuracy curves of Fig. 9.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.memory import DEFAULT_MAX_BLOCK_BYTES, resolve_block_bytes
+from repro.memory import get_memory_budget
 from repro.distance.engine import (
     _stable_k_smallest,
     batch_prefix_distances,
@@ -77,13 +76,6 @@ class KNeighborsTimeSeriesClassifier:
         ``"dtw"`` metric reads ``"window"`` (Sakoe-Chiba band spec with the
         semantics of :func:`repro.distance.dtw.dtw_distance`); unknown keys
         are rejected so a typo cannot silently fall back to defaults.
-    max_prefix_sweep_bytes:
-        **Deprecated** per-instance byte budget for
-        :meth:`predict_prefixes`' stacked distance array.  ``None`` (the
-        default) resolves the unified :mod:`repro.memory` budget at call
-        time (``set_memory_budget`` > ``REPRO_MAX_BLOCK_BYTES`` > 64 MiB);
-        an explicit value still wins (the per-call precedence level) but
-        emits a :class:`DeprecationWarning`.
 
     Notes
     -----
@@ -108,22 +100,12 @@ class KNeighborsTimeSeriesClassifier:
     :meth:`_soft_vote`.
     """
 
-    #: Legacy byte budget for :meth:`predict_prefixes`' stacked distance
-    #: array; sweeps that would exceed it stream one per-length matrix at a
-    #: time through the incremental engine instead (same labels, bounded
-    #: memory).  Kept (at the historical 64 MiB default) for backwards
-    #: compatibility: an instance- or class-level assignment still shadows
-    #: the unified budget, but untouched instances resolve
-    #: :func:`repro.memory.resolve_block_bytes` at call time.
-    max_prefix_sweep_bytes: int = DEFAULT_MAX_BLOCK_BYTES
-
     def __init__(
         self,
         n_neighbors: int = 1,
         metric: str | DistanceFunction = "euclidean",
         znormalize_inputs: bool = False,
         metric_params: dict | None = None,
-        max_prefix_sweep_bytes: int | None = None,
     ) -> None:
         if n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
@@ -139,36 +121,10 @@ class KNeighborsTimeSeriesClassifier:
                     f"metric {metric!r} does not accept metric_params "
                     f"{sorted(unknown)}"
                 )
-        if max_prefix_sweep_bytes is not None:
-            if int(max_prefix_sweep_bytes) < 1:
-                raise ValueError("max_prefix_sweep_bytes must be positive")
-            warnings.warn(
-                "the max_prefix_sweep_bytes constructor knob is deprecated; "
-                "prefer the unified budget (repro.memory.set_memory_budget "
-                "or the REPRO_MAX_BLOCK_BYTES environment variable). The "
-                "explicit value still takes precedence.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # An instance attribute: shadows (never mutates) the class default.
-            self.max_prefix_sweep_bytes = int(max_prefix_sweep_bytes)
         self._train: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._classes: tuple = ()
         self._envelope_cache: EnvelopeCache | None = None
-
-    def _resolve_sweep_budget(self) -> int:
-        """The byte budget :meth:`predict_prefixes` caps its sweep against.
-
-        Precedence: an instance-level ``max_prefix_sweep_bytes`` (the
-        deprecated constructor knob or a direct attribute assignment), then
-        a class-level assignment that moved the attribute off its stock
-        default, then the unified :mod:`repro.memory` budget.
-        """
-        legacy = vars(self).get("max_prefix_sweep_bytes")
-        if legacy is None and type(self).max_prefix_sweep_bytes != DEFAULT_MAX_BLOCK_BYTES:
-            legacy = type(self).max_prefix_sweep_bytes
-        return resolve_block_bytes(legacy)
 
     # ------------------------------------------------------------------ fit
     def fit(self, series: np.ndarray, labels: Sequence) -> "KNeighborsTimeSeriesClassifier":
@@ -375,7 +331,7 @@ class KNeighborsTimeSeriesClassifier:
         :func:`repro.distance.engine.batch_prefix_distances`, costing a
         single full-length distance computation overall.  Sweeps whose
         stacked ``(n_lengths, n_queries, n_train)`` distance array would
-        exceed :attr:`max_prefix_sweep_bytes` stream one per-length matrix
+        exceed the :mod:`repro.memory` budget stream one per-length matrix
         at a time through the incremental engine instead, keeping peak
         memory at a single matrix.
 
@@ -420,7 +376,7 @@ class KNeighborsTimeSeriesClassifier:
             stacked_bytes = (
                 len(sorted_lengths) * queries.shape[0] * train.shape[0] * 8
             )
-            if stacked_bytes <= self._resolve_sweep_budget():
+            if stacked_bytes <= get_memory_budget():
                 batched = batch_prefix_distances(
                     queries[:, : max(lengths)], train, sorted_lengths, squared=squared
                 )

@@ -1,27 +1,19 @@
 """One global memory budget for every chunked kernel in the package.
 
-Before this module existed each blocked kernel carried its own ad-hoc byte
-knob with its own default: ``max_block_bytes`` on
-:func:`repro.distance.engine.batch_prefix_distances` /
-:func:`~repro.distance.engine.ragged_prefix_distances` /
-:func:`~repro.distance.engine.dtw_pairwise_distances`, another
-``max_block_bytes`` on the pruned backend's LB_Keogh stage, and
-``max_prefix_sweep_bytes`` on
-:class:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier`.  Capping a
-sweep's working set meant finding and tuning three uncoordinated defaults.
+Every blocked kernel -- :func:`repro.distance.engine.batch_prefix_distances`,
+:func:`~repro.distance.engine.ragged_prefix_distances`,
+:func:`~repro.distance.engine.dtw_pairwise_distances`, the pruned backend's
+LB_Keogh stage, the stacked sweep of
+:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`
+and the chunked scans in :mod:`repro.data` -- learns its byte budget from
+:func:`get_memory_budget` at call time and nowhere else.  No kernel takes a
+per-call byte argument.  The budget resolves in this order:
 
-Now there is one budget, resolved by :func:`resolve_block_bytes` with a
-strict precedence order:
-
-1. **per-call** -- an explicit ``max_block_bytes=`` / ``max_prefix_sweep_bytes=``
-   argument always wins (the knobs remain as deprecated shims);
-2. **process-wide** -- :func:`set_memory_budget` (or the
+1. **process-wide** -- :func:`set_memory_budget` (or the
    :func:`memory_budget` context manager);
-3. **environment** -- the ``REPRO_MAX_BLOCK_BYTES`` variable, read at call
+2. **environment** -- the ``REPRO_MAX_BLOCK_BYTES`` variable, read at call
    time so a scheduler can cap its worker processes without touching code;
-4. **default** -- :data:`DEFAULT_MAX_BLOCK_BYTES` (64 MiB), the historical
-   value of every knob this module replaces, so behaviour without any
-   configuration is unchanged bit for bit.
+3. **default** -- :data:`DEFAULT_MAX_BLOCK_BYTES` (64 MiB).
 
 The budget bounds the *temporary working set* of one kernel invocation (the
 blocked ``(chunk, n_train, L)`` tensors), not the total RSS of the process:
@@ -45,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import warnings
 from typing import Iterator
 
 __all__ = [
@@ -55,14 +46,11 @@ __all__ = [
     "get_memory_budget",
     "get_thread_count",
     "memory_budget",
-    "resolve_block_bytes",
-    "resolve_thread_count",
     "set_memory_budget",
     "set_thread_count",
 ]
 
-#: Fallback byte budget when nothing else is configured -- the historical
-#: default (64 MiB) shared by every knob this module unifies.
+#: Fallback byte budget when nothing else is configured (64 MiB).
 DEFAULT_MAX_BLOCK_BYTES = 64 * 2**20
 
 #: Environment variable consulted (at call time) when no process-wide budget
@@ -88,8 +76,7 @@ def set_memory_budget(max_block_bytes: int | None) -> None:
     """Install (or with ``None`` clear) the process-wide block-byte budget.
 
     The budget caps the chunked temporaries of every budgeted kernel in the
-    process; per-call arguments still override it.  Raises ``ValueError``
-    for non-positive values.
+    process.  Raises ``ValueError`` for non-positive values.
     """
     global _BUDGET
     if max_block_bytes is None:
@@ -99,7 +86,7 @@ def set_memory_budget(max_block_bytes: int | None) -> None:
 
 
 def get_memory_budget() -> int:
-    """The budget a kernel called with no per-call override will use now.
+    """The byte budget every chunked kernel sizes its chunks against now.
 
     Resolution order: :func:`set_memory_budget` value, then the
     ``REPRO_MAX_BLOCK_BYTES`` environment variable, then
@@ -165,43 +152,7 @@ def get_thread_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_thread_count(per_call: int | None = None) -> int:
-    """An explicit per-call thread count if given, else :func:`get_thread_count`."""
-    if per_call is None:
-        return get_thread_count()
-    return _validated(per_call, "thread count")
-
-
-def resolve_block_bytes(
-    per_call: int | None = None,
-    *,
-    deprecated_knob: str | None = None,
-) -> int:
-    """The byte budget one kernel invocation should chunk against.
-
-    Parameters
-    ----------
-    per_call:
-        An explicit per-call override (highest precedence), or ``None`` to
-        resolve through the process-wide budget, the environment variable
-        and the default, in that order.
-    deprecated_knob:
-        Name of the legacy per-call knob the override arrived through.  When
-        given and ``per_call`` is not ``None``, a :class:`DeprecationWarning`
-        is emitted pointing callers at :func:`set_memory_budget` /
-        ``REPRO_MAX_BLOCK_BYTES``; the override is honoured regardless (it
-        is the documented highest-precedence level).
-    """
-    if per_call is None:
-        return get_memory_budget()
-    value = _validated(per_call, deprecated_knob or "max_block_bytes")
-    if deprecated_knob is not None:
-        warnings.warn(
-            f"the per-call {deprecated_knob!r} knob is deprecated; prefer the "
-            f"unified budget (repro.memory.set_memory_budget or the "
-            f"{MEMORY_BUDGET_ENV_VAR} environment variable). The explicit "
-            f"value still takes precedence.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return value
+# Zero-argument names that perfbench/child.py imports to record the run
+# environment; they take no override and only read the process-wide state.
+resolve_block_bytes = get_memory_budget
+resolve_thread_count = get_thread_count

@@ -26,6 +26,7 @@ from repro.distance.dtw import (
 )
 from repro.distance.engine import dtw_nearest_neighbors, dtw_pairwise_distances
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
+from repro.memory import memory_budget
 
 
 @pytest.fixture(autouse=True)
@@ -375,8 +376,7 @@ class TestDirectPrunedKernel:
         ri, rd = dtw_nearest_neighbors(
             queries, train, window=0.1, backend="reference"
         )
-        pi, pd = pruned_dtw_nearest_neighbors(
-            queries, train, window=0.1, max_block_bytes=1024
-        )
+        with memory_budget(1024):
+            pi, pd = pruned_dtw_nearest_neighbors(queries, train, window=0.1)
         np.testing.assert_array_equal(ri, pi)
         np.testing.assert_array_equal(rd, pd)

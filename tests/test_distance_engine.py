@@ -22,9 +22,11 @@ from repro.distance.engine import (
     dtw_pairwise_distances,
     iter_prefix_distances,
     pairwise_prefix_distances,
+    ragged_prefix_distances,
 )
 from repro.distance.euclidean import euclidean_distance, pairwise_euclidean
 from repro.distance.znorm import znormalize
+from repro.memory import memory_budget
 
 TOLERANCE = 1e-10
 
@@ -97,47 +99,70 @@ class TestPrefixDistanceEngine:
     def test_every_length_incrementally(self, walks):
         """advance_to one sample at a time equals the naive slice recompute."""
         queries, train = walks
-        engine = PrefixDistanceEngine(train).start(queries)
+        sweep = PrefixDistanceEngine(train).open(queries)
         for length in range(1, train.shape[1] + 1):
-            engine.advance_to(length)
-            got = engine.distances()
+            sweep.advance_to(length)
+            got = sweep.distances()
             want = _naive_prefix_distances(queries, train, [length])[0]
             np.testing.assert_allclose(got, want, atol=TOLERANCE, rtol=0)
 
     def test_squared_distances_consistent(self, walks):
         queries, train = walks
-        engine = PrefixDistanceEngine(train).start(queries)
-        engine.advance_to(17)
+        sweep = PrefixDistanceEngine(train).open(queries)
+        sweep.advance_to(17)
         np.testing.assert_allclose(
-            np.sqrt(engine.squared_distances()), engine.distances(), atol=TOLERANCE
+            np.sqrt(sweep.squared_distances()), sweep.distances(), atol=TOLERANCE
         )
 
     def test_single_series_query(self, walks):
         queries, train = walks
-        engine = PrefixDistanceEngine(train).start(queries[0])
-        sq = engine.advance_to(10)
+        sweep = PrefixDistanceEngine(train).open(queries[0])
+        sq = sweep.advance_to(10)
         assert sq.shape == (1, train.shape[0])
+
+    def test_opened_sweep_starts_empty(self, walks):
+        queries, train = walks
+        sweep = PrefixDistanceEngine(train).open(queries)
+        assert sweep.length == 0
+        assert sweep.n_queries == queries.shape[0]
+        assert sweep.query_length == queries.shape[1]
+        assert np.array_equal(
+            sweep.distances(), np.zeros((queries.shape[0], train.shape[0]))
+        )
+
+    def test_opened_sweeps_are_independent(self, walks):
+        queries, train = walks
+        engine = PrefixDistanceEngine(train)
+        short, long = engine.open(queries), engine.open(queries[::-1])
+        short.advance_to(7)
+        long.advance_to(train.shape[1])
+        # Advancing one sweep leaves the other's running state alone.
+        np.testing.assert_allclose(
+            short.distances(),
+            _naive_prefix_distances(queries, train, [7])[0],
+            atol=TOLERANCE,
+            rtol=0,
+        )
+        np.testing.assert_allclose(
+            long.distances(),
+            _naive_prefix_distances(queries[::-1], train, [train.shape[1]])[0],
+            atol=TOLERANCE,
+            rtol=0,
+        )
+        assert short.length == 7
 
     def test_prefixes_only_grow(self, walks):
         queries, train = walks
-        engine = PrefixDistanceEngine(train).start(queries)
-        engine.advance_to(10)
+        sweep = PrefixDistanceEngine(train).open(queries)
+        sweep.advance_to(10)
         with pytest.raises(ValueError):
-            engine.advance_to(5)
-
-    def test_requires_start(self, walks):
-        _, train = walks
-        engine = PrefixDistanceEngine(train)
-        with pytest.raises(RuntimeError):
-            engine.advance_to(3)
-        with pytest.raises(RuntimeError):
-            engine.distances()
+            sweep.advance_to(5)
 
     def test_rejects_overlong_queries(self, walks):
         queries, train = walks
         engine = PrefixDistanceEngine(train[:, :30])
         with pytest.raises(ValueError):
-            engine.start(queries)
+            engine.open(queries)
 
     def test_rejects_bad_train(self):
         with pytest.raises(ValueError):
@@ -209,9 +234,8 @@ class TestBatchPrefixDistances:
         lengths = [5, 40]
         whole = batch_prefix_distances(queries, train, lengths)
         # A budget this small forces one-query chunks.
-        chunked = batch_prefix_distances(
-            queries, train, lengths, max_block_bytes=train.shape[0] * 60 * 8
-        )
+        with memory_budget(train.shape[0] * 60 * 8):
+            chunked = batch_prefix_distances(queries, train, lengths)
         assert np.array_equal(whole, chunked)
 
     def test_squared_flag(self, walks):
@@ -241,9 +265,29 @@ class TestBatchPrefixDistances:
         with pytest.raises(ValueError):
             batch_prefix_distances(queries, train, [61])
         with pytest.raises(ValueError):
-            batch_prefix_distances(queries, train, [5], max_block_bytes=0)
-        with pytest.raises(ValueError):
             batch_prefix_distances(np.empty((2, 0)), train, [1])
+
+
+class TestRaggedMatchesBatch:
+    """The two entry points over the cumulative-sum core must agree exactly."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_uniform_ragged_equals_batch_bit_for_bit(self, channels):
+        rng = np.random.default_rng(21)
+        shape = (11, 30) if channels == 1 else (11, 30, channels)
+        queries = rng.normal(size=shape)
+        train = rng.normal(size=(6,) + shape[1:])
+        # Two query rows per chunk at full length.
+        with memory_budget(2 * train.shape[0] * 30 * channels * 8):
+            for length in (1, 13, 30):
+                for squared in (False, True):
+                    ragged = ragged_prefix_distances(
+                        queries, train, [length] * len(queries), squared=squared
+                    )
+                    batch = batch_prefix_distances(
+                        queries, train, [length], squared=squared
+                    )[0]
+                    assert np.array_equal(ragged, batch)
 
 
 class TestPrefixDTWEngine:
@@ -348,9 +392,8 @@ class TestDTWPairwiseDistances:
         queries = rng.standard_normal((7, 24))
         train = rng.standard_normal((3, 30))
         whole = dtw_pairwise_distances(queries, train, window=0.5)
-        chunked = dtw_pairwise_distances(
-            queries, train, window=0.5, max_block_bytes=1
-        )
+        with memory_budget(1):
+            chunked = dtw_pairwise_distances(queries, train, window=0.5)
         np.testing.assert_array_equal(whole, chunked)
 
     def test_zero_band_equal_lengths_is_euclidean(self):
@@ -369,7 +412,5 @@ class TestDTWPairwiseDistances:
             dtw_pairwise_distances(np.zeros((2, 2, 2)), train)
         with pytest.raises(ValueError):
             dtw_pairwise_distances(np.zeros((2, 0)), train)
-        with pytest.raises(ValueError):
-            dtw_pairwise_distances(np.zeros((2, 5)), train, max_block_bytes=0)
         with pytest.raises(ValueError):
             dtw_pairwise_distances(np.zeros((2, 5)), train, window=1.5)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.distance.dtw import dtw_distance
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
+from repro.memory import memory_budget
 
 
 class TestFitValidation:
@@ -162,8 +163,8 @@ class TestVectorisedVote:
         lengths = list(range(1, series.shape[1] + 1))
         stacked = model.predict_prefixes(queries, lengths)
         # A one-matrix budget forces the incremental streaming path.
-        model.max_prefix_sweep_bytes = queries.shape[0] * series[::2].shape[0] * 8
-        streamed = model.predict_prefixes(queries, lengths)
+        with memory_budget(queries.shape[0] * series[::2].shape[0] * 8):
+            streamed = model.predict_prefixes(queries, lengths)
         assert np.array_equal(stacked, streamed)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -284,37 +285,17 @@ class TestPredictProbaBatched:
         assert probas[1]["b"] == pytest.approx(1.0)
 
 
-class TestMaxPrefixSweepBytesParameter:
-    def test_init_parameter_shadows_class_default(self, tiny_two_class):
-        default = KNeighborsTimeSeriesClassifier.max_prefix_sweep_bytes
-        model = KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=4096)
-        assert model.max_prefix_sweep_bytes == 4096
-        # The class default -- and therefore every other instance -- is
-        # untouched: the budget used to be a bare class attribute, so tuning
-        # one model silently retuned all of them.
-        assert KNeighborsTimeSeriesClassifier.max_prefix_sweep_bytes == default
-        assert KNeighborsTimeSeriesClassifier().max_prefix_sweep_bytes == default
-
-    def test_default_none_keeps_class_attribute(self):
-        model = KNeighborsTimeSeriesClassifier()
-        assert "max_prefix_sweep_bytes" not in vars(model)
-
-    def test_rejects_non_positive_budget(self):
-        with pytest.raises(ValueError):
-            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=0)
-
+class TestPrefixSweepBudget:
     def test_budget_parameter_forces_streaming_fallback(self, tiny_two_class):
         series, labels = tiny_two_class
         train, queries = series[::2], series[1::2]
         lengths = list(range(1, series.shape[1] + 1))
-        stacked = KNeighborsTimeSeriesClassifier().fit(train, labels[::2])
-        tiny = KNeighborsTimeSeriesClassifier(
-            max_prefix_sweep_bytes=queries.shape[0] * train.shape[0] * 8
-        ).fit(train, labels[::2])
-        assert np.array_equal(
-            stacked.predict_prefixes(queries, lengths),
-            tiny.predict_prefixes(queries, lengths),
-        )
+        model = KNeighborsTimeSeriesClassifier().fit(train, labels[::2])
+        stacked = model.predict_prefixes(queries, lengths)
+        # A one-matrix budget forces the incremental streaming path.
+        with memory_budget(queries.shape[0] * train.shape[0] * 8):
+            streamed = model.predict_prefixes(queries, lengths)
+        assert np.array_equal(stacked, streamed)
 
 
 class TestDTWMetricString:

@@ -1,29 +1,35 @@
 """Tests for the unified memory budget (:mod:`repro.memory`).
 
-Covers the resolution precedence (per-call > process-wide > environment >
-default), the deprecation shims on the legacy per-call byte knobs, and --
-the load-bearing property -- that chunking against *any* budget leaves every
-budgeted kernel's output bit-identical to the unchunked computation.
+Covers the resolution precedence (process-wide > environment > default)
+and -- the load-bearing property -- that chunking against *any* budget
+leaves every budgeted kernel's output bit-identical to the unchunked
+computation.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import memory
-from repro.distance.backends import pruned_dtw_nearest_neighbors
+from repro.distance.backends import (
+    compiled_dtw_nearest_neighbors,
+    pruned_dtw_nearest_neighbors,
+)
 from repro.distance.engine import (
     batch_prefix_distances,
+    dtw_nearest_neighbors,
     dtw_pairwise_distances,
     ragged_prefix_distances,
 )
+from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.memory import (
     DEFAULT_MAX_BLOCK_BYTES,
     MEMORY_BUDGET_ENV_VAR,
     get_memory_budget,
     memory_budget,
-    resolve_block_bytes,
     set_memory_budget,
 )
 
@@ -51,11 +57,6 @@ class TestPrecedence:
         set_memory_budget(999)
         assert get_memory_budget() == 999
 
-    def test_per_call_overrides_everything(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "12345")
-        set_memory_budget(999)
-        assert resolve_block_bytes(7) == 7
-
     def test_clearing_restores_environment_resolution(self, monkeypatch):
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "4096")
         set_memory_budget(1)
@@ -66,6 +67,22 @@ class TestPrecedence:
         assert get_memory_budget() == DEFAULT_MAX_BLOCK_BYTES
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "2048")
         assert get_memory_budget() == 2048
+
+    def test_context_manager_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "12345")
+        with memory_budget(777):
+            assert get_memory_budget() == 777
+        assert get_memory_budget() == 12345
+
+    def test_resolve_block_bytes_reads_the_process_budget(self, monkeypatch):
+        # The zero-argument name the benchmark harness imports: it resolves
+        # exactly like get_memory_budget and accepts no override.
+        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "4096")
+        assert memory.resolve_block_bytes() == 4096
+        with memory_budget(99):
+            assert memory.resolve_block_bytes() == 99
+        with pytest.raises(TypeError):
+            memory.resolve_block_bytes(7)  # type: ignore[call-arg]
 
 
 class TestValidation:
@@ -83,9 +100,55 @@ class TestValidation:
         with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV_VAR):
             get_memory_budget()
 
-    def test_non_positive_per_call_raises(self):
+    def test_non_positive_context_budget_raises_and_keeps_previous(self):
+        set_memory_budget(50)
         with pytest.raises(ValueError, match="positive"):
-            resolve_block_bytes(0)
+            with memory_budget(0):
+                pass  # pragma: no cover - never entered
+        assert get_memory_budget() == 50
+
+
+class TestNoPerCallBudget:
+    """The process-wide budget is the only way a kernel learns its budget."""
+
+    queries = np.random.default_rng(0).normal(size=(4, 16))
+    train = np.random.default_rng(1).normal(size=(3, 16))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q, t, **kw: batch_prefix_distances(q, t, [16], **kw),
+            lambda q, t, **kw: ragged_prefix_distances(q, t, [16] * len(q), **kw),
+            lambda q, t, **kw: dtw_pairwise_distances(q, t, **kw),
+            lambda q, t, **kw: dtw_nearest_neighbors(q, t, **kw),
+            lambda q, t, **kw: pruned_dtw_nearest_neighbors(q, t, **kw),
+            lambda q, t, **kw: compiled_dtw_nearest_neighbors(q, t, **kw),
+        ],
+        ids=[
+            "batch_prefix_distances",
+            "ragged_prefix_distances",
+            "dtw_pairwise_distances",
+            "dtw_nearest_neighbors",
+            "pruned_dtw_nearest_neighbors",
+            "compiled_dtw_nearest_neighbors",
+        ],
+    )
+    def test_kernel_rejects_a_byte_argument(self, call):
+        with pytest.raises(TypeError, match="max_block_bytes"):
+            call(self.queries, self.train, max_block_bytes=64)
+
+    def test_classifier_takes_no_byte_argument(self):
+        with pytest.raises(TypeError, match="max_prefix_sweep_bytes"):
+            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=1024)  # type: ignore[call-arg]
+        assert not hasattr(KNeighborsTimeSeriesClassifier(), "max_prefix_sweep_bytes")
+
+    def test_default_call_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference = batch_prefix_distances(self.queries, self.train, [16])
+            with memory_budget(64):
+                chunked = batch_prefix_distances(self.queries, self.train, [16])
+        np.testing.assert_array_equal(chunked, reference)
 
 
 class TestContextManager:
@@ -107,28 +170,6 @@ class TestContextManager:
             with memory_budget(60):
                 raise RuntimeError("boom")
         assert get_memory_budget() == 50
-
-
-class TestDeprecationShims:
-    def test_explicit_knob_warns_but_is_honoured(self):
-        queries = np.random.default_rng(0).normal(size=(4, 16))
-        train = np.random.default_rng(1).normal(size=(3, 16))
-        with pytest.warns(DeprecationWarning, match="max_block_bytes"):
-            chunked = batch_prefix_distances(queries, train, [16], max_block_bytes=64)
-        reference = batch_prefix_distances(queries, train, [16])
-        np.testing.assert_array_equal(chunked, reference)
-
-    def test_default_call_does_not_warn(self, recwarn):
-        queries = np.random.default_rng(0).normal(size=(4, 16))
-        train = np.random.default_rng(1).normal(size=(3, 16))
-        batch_prefix_distances(queries, train, [16])
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_classifier_knob_warns_at_construction(self):
-        from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
-
-        with pytest.warns(DeprecationWarning, match="max_prefix_sweep_bytes"):
-            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=1024)
 
 
 class TestChunkingEquivalence:
