@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
+from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, PartialPrediction
+from repro.memory import get_memory_budget
 
 __all__ = ["EDSCClassifier", "Shapelet"]
 
@@ -759,25 +760,27 @@ class EDSCClassifier(BaseEarlyClassifier):
         """Classify a prefix; ready as soon as any learned shapelet matches it."""
         arr = self._validate_prefix(prefix)
         length = arr.shape[0]
-        best: tuple[float, Shapelet] | None = None
+        best: Shapelet | None = None
         for shapelet in self.shapelets_:
             if shapelet.length > length:
                 continue
             distance = self._best_match_in_prefix(shapelet.values, arr)
             if distance <= shapelet.threshold:
-                score = shapelet.utility
-                if best is None or score > best[0]:
-                    best = (score, shapelet)
+                if best is None or shapelet.utility > best.utility:
+                    best = shapelet
+        return self._partial_for(best, length)
+
+    def _partial_for(self, best: Shapelet | None, length: int) -> PartialPrediction:
+        """The prediction for a prefix whose highest-utility match is ``best``."""
         if best is not None:
-            shapelet = best[1]
-            confidence = shapelet.precision
+            confidence = best.precision
             probabilities = {cls: 0.0 for cls in self.classes_}
-            probabilities[shapelet.label] = confidence
-            others = [cls for cls in self.classes_ if cls != shapelet.label]
+            probabilities[best.label] = confidence
+            others = [cls for cls in self.classes_ if cls != best.label]
             for cls in others:
                 probabilities[cls] = (1.0 - confidence) / len(others)
             return PartialPrediction(
-                label=shapelet.label,
+                label=best.label,
                 ready=True,
                 confidence=confidence,
                 prefix_length=length,
@@ -791,6 +794,63 @@ class EDSCClassifier(BaseEarlyClassifier):
             prefix_length=length,
             probabilities={cls: uniform for cls in self.classes_},
         )
+
+    def _batch_partial_evaluators(self, data: np.ndarray) -> list[BatchCheckpoint]:
+        """Vectorised checkpoint evaluation for a whole test batch.
+
+        A shapelet matches within prefix ``t`` when its best match over the
+        windows ending at or before ``t`` is within its threshold.  The
+        squared distance of every window of every row is the same
+        ``diffs * diffs`` sum :meth:`_best_match_in_prefix` takes, and its
+        running minimum along the window axis is that prefix's best match,
+        so one pass per shapelet yields the first prefix length at which it
+        matches each row.  Readiness at a checkpoint is then one comparison,
+        and ``partial(i)`` picks among the matched shapelets with the same
+        first-highest-utility rule as :meth:`predict_partial`.
+        """
+        n_rows, row_length = data.shape[0], data.shape[1]
+        lengths = [c for c in self.checkpoints() if c <= row_length]
+        if not lengths:
+            return []
+        never = row_length + 1
+        first_match = np.full((len(self.shapelets_), n_rows), never, dtype=np.intp)
+        for s, shapelet in enumerate(self.shapelets_):
+            window = shapelet.length
+            n_windows = row_length - window + 1
+            if n_windows < 1:
+                continue
+            # The squared differences are formed in place, so a chunk holds
+            # one (rows, windows, window[, channels]) float64 block.
+            per_row = 8 * n_windows * shapelet.values.size
+            chunk = max(1, get_memory_budget() // per_row)
+            for start in range(0, n_rows, chunk):
+                rows = data[start : start + chunk]
+                diffs = _sliding_windows(rows, window) - shapelet.values
+                np.multiply(diffs, diffs, out=diffs)
+                squared = np.sum(diffs, axis=tuple(range(2, diffs.ndim)))
+                best_so_far = np.minimum.accumulate(squared, axis=1)
+                matched = np.sqrt(best_so_far) <= shapelet.threshold
+                # The running minimum never grows, so a match persists and
+                # the first matching window fixes the first matching length.
+                first_match[s, start : start + chunk] = np.where(
+                    matched[:, -1], np.argmax(matched, axis=1) + window, never
+                )
+        first_any = first_match.min(axis=0, initial=never)
+
+        def make_checkpoint(length: int) -> BatchCheckpoint:
+            def partial(i: int) -> PartialPrediction:
+                best: Shapelet | None = None
+                for s in np.flatnonzero(first_match[:, i] <= length):
+                    shapelet = self.shapelets_[s]
+                    if best is None or shapelet.utility > best.utility:
+                        best = shapelet
+                return self._partial_for(best, length)
+
+            return BatchCheckpoint(
+                length=length, partial=partial, ready=lambda: first_any <= length
+            )
+
+        return [make_checkpoint(length) for length in lengths]
 
     @staticmethod
     def _best_match_in_prefix(shapelet_values: np.ndarray, prefix: np.ndarray) -> float:

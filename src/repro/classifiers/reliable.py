@@ -33,6 +33,7 @@ Table 1 denormalisation experiment exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,66 +45,85 @@ from repro.distance.euclidean import pairwise_euclidean
 __all__ = ["ReliableEarlyClassifier", "LDGReliableEarlyClassifier"]
 
 
+class _PrefixTerms:
+    """The parts of one class Gaussian that depend only on the prefix length.
+
+    For prefix length ``L``: the Cholesky factor of the prefix covariance
+    ``cov[:L, :L]`` and its log-determinant (the prefix density), and the
+    Cholesky factor of the conditional covariance of the unseen suffix given
+    the prefix (the Monte Carlo sampler).  At the full length the prefix
+    factor is the full-length density's factor and there is no suffix.
+
+    The suffix factor is computed on first use, so terms built on the fly
+    for one prediction pay for it only when that class is sampled.
+    """
+
+    def __init__(self, covariance: np.ndarray, length: int) -> None:
+        self.covariance = covariance
+        self.length = length
+        self.factor = cho_factor(covariance[:length, :length], lower=True)
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
+
+    @cached_property
+    def suffix_cholesky(self) -> np.ndarray:
+        """Cholesky factor of the suffix covariance given the prefix."""
+        length = self.length
+        full = self.covariance.shape[0]
+        cov_sp = self.covariance[length:, :length]
+        cov_ss = self.covariance[length:, length:]
+        conditional_cov = cov_ss - cov_sp @ cho_solve(self.factor, cov_sp.T)
+        conditional_cov = 0.5 * (conditional_cov + conditional_cov.T)
+        ridge = 1e-6 * np.trace(self.covariance) / full
+        conditional_cov += ridge * np.eye(full - length)
+        try:
+            return np.linalg.cholesky(conditional_cov)
+        except np.linalg.LinAlgError:
+            return np.diag(np.sqrt(np.maximum(np.diag(conditional_cov), 1e-12)))
+
+
 @dataclass
 class _GaussianClassModel:
     """Mean, regularised covariance and prior of one class.
 
-    The Cholesky factorisation of the full covariance is computed lazily and
-    cached, because the Monte Carlo reliability estimate evaluates the
-    full-length density many times per prediction.
+    ``terms`` holds the :class:`_PrefixTerms` of the lengths the model was
+    fitted for (the classifier's checkpoints); any other length is computed
+    on the fly by :meth:`prefix_terms` and not stored.
     """
 
     label: object
     mean: np.ndarray
     covariance: np.ndarray
     prior: float
-    _factor: tuple | None = field(default=None, repr=False)
-    _logdet: float | None = field(default=None, repr=False)
+    terms: dict[int, _PrefixTerms] = field(default_factory=dict, repr=False)
 
-    def _factorisation(self) -> tuple[tuple, float]:
-        if self._factor is None:
-            factor = cho_factor(self.covariance, lower=True)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-            self._factor = factor
-            self._logdet = logdet
-        assert self._logdet is not None
-        return self._factor, self._logdet
+    def prefix_terms(self, length: int) -> _PrefixTerms:
+        """The stored terms of ``length``, or freshly computed ones."""
+        stored = self.terms.get(length)
+        return stored if stored is not None else _PrefixTerms(self.covariance, length)
 
     def log_density_full(self, rows: np.ndarray) -> np.ndarray:
         """Log density of the full-length Gaussian at each row of a 2-D array."""
-        factor, logdet = self._factorisation()
-        diffs = rows - self.mean[None, :]
-        solved = cho_solve(factor, diffs.T)
-        quadratic = np.sum(diffs.T * solved, axis=0)
         dim = self.mean.shape[0]
-        return -0.5 * (dim * np.log(2 * np.pi) + logdet + quadratic)
+        terms = self.prefix_terms(dim)
+        diffs = rows - self.mean[None, :]
+        solved = cho_solve(terms.factor, diffs.T)
+        quadratic = np.sum(diffs.T * solved, axis=0)
+        return -0.5 * (dim * np.log(2 * np.pi) + terms.logdet + quadratic)
 
-    def log_density_prefix(self, prefix: np.ndarray) -> float:
+    def log_density_prefix(self, prefix: np.ndarray, terms: _PrefixTerms) -> float:
         """Log density of the marginal Gaussian of the first ``len(prefix)`` samples."""
         length = prefix.shape[0]
-        cov = self.covariance[:length, :length]
         diff = prefix - self.mean[:length]
-        factor = cho_factor(cov, lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        quadratic = float(diff @ cho_solve(factor, diff))
-        return -0.5 * (length * np.log(2 * np.pi) + logdet + quadratic)
+        quadratic = float(diff @ cho_solve(terms.factor, diff))
+        return -0.5 * (length * np.log(2 * np.pi) + terms.logdet + quadratic)
 
-    def conditional_suffix(self, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the unseen suffix given the observed prefix."""
+    def conditional_mean(self, prefix: np.ndarray, terms: _PrefixTerms) -> np.ndarray:
+        """Mean of the unseen suffix given the observed prefix."""
         length = prefix.shape[0]
-        full = self.mean.shape[0]
-        cov_pp = self.covariance[:length, :length]
         cov_sp = self.covariance[length:, :length]
-        cov_ss = self.covariance[length:, length:]
-        factor = cho_factor(cov_pp, lower=True)
-        conditional_mean = self.mean[length:] + cov_sp @ cho_solve(
-            factor, prefix - self.mean[:length]
+        return self.mean[length:] + cov_sp @ cho_solve(
+            terms.factor, prefix - self.mean[:length]
         )
-        conditional_cov = cov_ss - cov_sp @ cho_solve(factor, cov_sp.T)
-        conditional_cov = 0.5 * (conditional_cov + conditional_cov.T)
-        ridge = 1e-6 * np.trace(self.covariance) / full
-        conditional_cov += ridge * np.eye(full - length)
-        return conditional_mean, conditional_cov
 
 
 class ReliableEarlyClassifier(BaseEarlyClassifier):
@@ -173,9 +193,21 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         self._train = data
         self._labels = label_arr
         self._store_training_shape(data, label_arr)
-        self._models = self._fit_gaussians(data, label_arr)
+        self._models = self._fit_global_models(data, label_arr)
         self._rng = np.random.default_rng(self.random_state)
         return self
+
+    def _fit_global_models(
+        self, data: np.ndarray, labels: np.ndarray
+    ) -> list[_GaussianClassModel]:
+        """The class Gaussians, holding the prefix terms of every checkpoint."""
+        models = self._fit_gaussians(data, labels)
+        for model in models:
+            for length in self.checkpoints():
+                terms = model.terms[length] = _PrefixTerms(model.covariance, length)
+                if length < self.train_length_:
+                    terms.suffix_cholesky  # noqa: B018  (computed now, kept with the model)
+        return models
 
     def _fit_gaussians(
         self, data: np.ndarray, labels: np.ndarray
@@ -205,10 +237,16 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
 
     # ------------------------------------------------------------ inference helpers
     def _posterior_given_prefix(
-        self, prefix: np.ndarray, models: list[_GaussianClassModel]
+        self,
+        prefix: np.ndarray,
+        models: list[_GaussianClassModel],
+        terms: list[_PrefixTerms],
     ) -> dict:
         log_posteriors = np.asarray(
-            [model.log_density_prefix(prefix) + np.log(model.prior) for model in models]
+            [
+                model.log_density_prefix(prefix, model_terms) + np.log(model.prior)
+                for model, model_terms in zip(models, terms)
+            ]
         )
         if self.posterior_tempering > 0:
             # Temper the prefix likelihoods by the prefix dimension.  With a
@@ -246,7 +284,8 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         arr = self._validate_prefix(prefix)
         length = arr.shape[0]
         models = self._models_for_prefix(arr)
-        posteriors = self._posterior_given_prefix(arr, models)
+        terms = [model.prefix_terms(length) for model in models]
+        posteriors = self._posterior_given_prefix(arr, models, terms)
         label = max(posteriors.items(), key=lambda item: item[1])[0]
 
         if length >= self.train_length_:
@@ -258,7 +297,7 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
                 probabilities=posteriors,
             )
 
-        reliability = self._estimate_reliability(arr, label, models, posteriors)
+        reliability = self._estimate_reliability(arr, label, models, terms, posteriors)
         ready = reliability >= 1.0 - self.tau
         return PartialPrediction(
             label=label,
@@ -273,6 +312,7 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         prefix: np.ndarray,
         prefix_label,
         models: list[_GaussianClassModel],
+        terms: list[_PrefixTerms],
         posteriors: dict,
     ) -> float:
         """Monte Carlo estimate of P(full-data decision == prefix decision | prefix)."""
@@ -280,17 +320,13 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         suffix_dim = self.train_length_ - length
 
         completions: list[np.ndarray] = []
-        for model in models:
+        for model, model_terms in zip(models, terms):
             n_class = int(round(posteriors[model.label] * self.n_monte_carlo))
             if n_class <= 0:
                 continue
-            conditional_mean, conditional_cov = model.conditional_suffix(prefix)
-            try:
-                chol = np.linalg.cholesky(conditional_cov)
-            except np.linalg.LinAlgError:
-                chol = np.diag(np.sqrt(np.maximum(np.diag(conditional_cov), 1e-12)))
+            conditional_mean = model.conditional_mean(prefix, model_terms)
             noise = self._rng.standard_normal(size=(n_class, suffix_dim))
-            suffixes = conditional_mean[None, :] + noise @ chol.T
+            suffixes = conditional_mean[None, :] + noise @ model_terms.suffix_cholesky.T
             completions.append(
                 np.hstack([np.tile(prefix, (n_class, 1)), suffixes])
             )
@@ -350,6 +386,12 @@ class LDGReliableEarlyClassifier(ReliableEarlyClassifier):
         if n_local < 4:
             raise ValueError("n_local must be at least 4")
         self.n_local = n_local
+
+    def _fit_global_models(
+        self, data: np.ndarray, labels: np.ndarray
+    ) -> list[_GaussianClassModel]:
+        """None: every prediction fits its Gaussians on the prefix's neighbours."""
+        return []
 
     def _models_for_prefix(self, prefix: np.ndarray) -> list[_GaussianClassModel]:
         assert self._train is not None and self._labels is not None

@@ -14,6 +14,7 @@ normalisation collapses.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,9 +78,11 @@ def audit_normalization_sensitivity(
     Parameters
     ----------
     classifier_factory:
-        Zero-argument callable returning a *fresh, unfitted* classifier.  A
-        factory (rather than an instance) is required because the protocol
-        trains two independent copies, one per condition.
+        Zero-argument callable returning a *fresh, unfitted* classifier.  It
+        is called once: the fitted model is copied before either evaluation,
+        so each test condition is scored by a model in the state a fresh fit
+        leaves it in, even when predicting changes the model (Reliable's
+        Monte Carlo generator advances with every estimate).
     train:
         Training dataset, in the UCR convention (z-normalised).
     test:
@@ -100,10 +103,8 @@ def audit_normalization_sensitivity(
 
     normalized_model = classifier_factory()
     normalized_model.fit(train.series, train.labels)
+    denormalized_model = copy.deepcopy(normalized_model)
     normalized_result = evaluate_early_classifier(normalized_model, test.series, test.labels)
-
-    denormalized_model = classifier_factory()
-    denormalized_model.fit(train.series, train.labels)
     denormalized_result = evaluate_early_classifier(
         denormalized_model, denormalized_test.series, denormalized_test.labels
     )

@@ -25,10 +25,12 @@ import pytest
 from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
 from repro.classifiers.ecdire import ECDIREClassifier
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
+from repro.classifiers.edsc import EDSCClassifier
 from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.evaluation.earliness import evaluate_early_classifier
+from repro.memory import memory_budget
 
 TOLERANCE = 1e-10
 
@@ -49,17 +51,24 @@ BATCHED_CLASSIFIERS = {
     "threshold": lambda: ProbabilityThresholdClassifier(threshold=0.8, min_length=5),
     "full-length": lambda: FullLengthClassifier(),
     "fixed-truncation": lambda: FixedTruncationClassifier(),
+    "edsc-che": lambda: EDSCClassifier(threshold_method="che"),
+    "edsc-kde": lambda: EDSCClassifier(threshold_method="kde"),
 }
 
+#: Batched overrides whose checkpoint numerics are the per-row arithmetic
+#: itself, so their outcomes must match the reference exactly.
+EXACT_CLASSIFIERS = {"edsc-che", "edsc-kde"}
 
-def _assert_outcomes_match(batched, reference):
+
+def _assert_outcomes_match(batched, reference, exact=False):
+    tolerance = 0.0 if exact else TOLERANCE
     assert len(batched) == len(reference)
     for got, want in zip(batched, reference):
         assert got.label == want.label
         assert got.trigger_length == want.trigger_length
         assert got.series_length == want.series_length
         assert got.triggered == want.triggered
-        assert abs(got.confidence - want.confidence) <= TOLERANCE
+        assert abs(got.confidence - want.confidence) <= tolerance
 
 
 class TestPredictEarlyBatchEquivalence:
@@ -73,7 +82,7 @@ class TestPredictEarlyBatchEquivalence:
         assert model._batch_partial_evaluators(test.series) is not None
         batched = model.predict_early_batch(test.series)
         reference = [model.predict_early(row) for row in test.series]
-        _assert_outcomes_match(batched, reference)
+        _assert_outcomes_match(batched, reference, exact=name in EXACT_CLASSIFIERS)
 
     @pytest.mark.parametrize("name", sorted(BATCHED_CLASSIFIERS))
     def test_metrics_match_per_row_reference(self, name, gunpoint_small):
@@ -81,6 +90,8 @@ class TestPredictEarlyBatchEquivalence:
         model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
         fast = evaluate_early_classifier(model, test.series, test.labels, batch=True)
         slow = evaluate_early_classifier(model, test.series, test.labels, batch=False)
+        if name in EXACT_CLASSIFIERS:
+            assert fast == slow
         for field in METRIC_FIELDS:
             assert abs(getattr(fast, field) - getattr(slow, field)) <= TOLERANCE, field
 
@@ -123,6 +134,78 @@ class TestPredictEarlyBatchEquivalence:
         assert model.average_earliness(test.series) == pytest.approx(
             float(np.mean([o.earliness for o in reference])), abs=TOLERANCE
         )
+
+
+def _assert_histories_identical(got, want):
+    assert len(got.history) == len(want.history)
+    for g, w in zip(got.history, want.history):
+        assert g == w
+
+
+class TestEDSCBatch:
+    """EDSC's batched prefix matching against its per-row walk, bit for bit."""
+
+    @staticmethod
+    def _check(model, series, **kwargs):
+        batched = model.predict_early_batch(series, **kwargs)
+        reference = [model.predict_early(row, **kwargs) for row in series]
+        _assert_outcomes_match(batched, reference, exact=True)
+        return batched, reference
+
+    @pytest.mark.parametrize("method", ["che", "kde"])
+    def test_multichannel_input(self, method):
+        rng = np.random.default_rng(4)
+        series = rng.normal(size=(24, 30, 3))
+        labels = np.repeat([0, 1], 12)
+        series[labels == 1, 5:15, 1] += 2.0
+        series[labels == 0, 8:18, 2] -= 2.0
+        model = EDSCClassifier(threshold_method=method, position_step=2).fit(
+            series[::2], labels[::2]
+        )
+        assert model.n_channels_ == 3
+        batched, _ = self._check(model, series[1::2])
+        assert any(outcome.triggered for outcome in batched)
+
+    def test_chunking_is_invisible(self, gunpoint_small):
+        train, test = gunpoint_small
+        model = EDSCClassifier().fit(train.series, train.labels)
+        whole = model.predict_early_batch(test.series)
+        with memory_budget(1):
+            chunked, _ = self._check(model, test.series)
+        _assert_outcomes_match(chunked, whole, exact=True)
+
+    def test_rows_shorter_than_training_length(self, gunpoint_small):
+        train, test = gunpoint_small
+        model = EDSCClassifier().fit(train.series, train.labels)
+        first = model.checkpoints()[0]
+        longest = max(shapelet.length for shapelet in model.shapelets_)
+        lengths = {first, max(first, longest - 1), train.series_length - 1}
+        for length in sorted(lengths):
+            batched, _ = self._check(model, test.series[:, :length])
+            assert all(outcome.series_length == length for outcome in batched)
+        with pytest.raises(ValueError):
+            model.predict_early_batch(test.series[:, : first - 1])
+        with pytest.raises(ValueError):
+            model.predict_early(test.series[0, : first - 1])
+
+    def test_row_that_never_triggers(self, gunpoint_small):
+        train, test = gunpoint_small
+        model = EDSCClassifier().fit(train.series, train.labels)
+        rows = test.series[:4].copy()
+        rows[1] += 100.0  # no shapelet matches anywhere this far away
+        batched, _ = self._check(model, rows)
+        assert not batched[1].triggered
+        assert batched[1].trigger_length == train.series_length
+
+    def test_keep_history(self, gunpoint_small):
+        train, test = gunpoint_small
+        model = EDSCClassifier(threshold_method="kde").fit(train.series, train.labels)
+        rows = test.series[:6].copy()
+        rows[2] += 100.0
+        batched, reference = self._check(model, rows, keep_history=True)
+        for got, want in zip(batched, reference):
+            _assert_histories_identical(got, want)
+        assert len(batched[2].history) == len(model.checkpoints())
 
 
 class TestPredictEarlyBatchValidation:

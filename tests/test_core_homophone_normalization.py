@@ -3,11 +3,47 @@
 import numpy as np
 import pytest
 
+from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.core.homophone_analysis import find_time_series_homophones, homophone_analysis
 from repro.core.normalization_audit import audit_normalization_sensitivity
 from repro.core.prefix_accuracy import PrefixAccuracyCurve, compute_prefix_accuracy_curve
+from repro.data.denormalize import denormalize_dataset
 from repro.data.random_walk import smoothed_random_walk
+from repro.evaluation.earliness import evaluate_early_classifier
+from repro.experiments.table1 import default_algorithms
+
+
+def _two_fit_audit(factory, train, test, seed=11, offset_range=(-1.0, 1.0)):
+    """The audit protocol with one fresh fit per test condition (oracle)."""
+    denormalized = denormalize_dataset(test, seed=seed, offset_range=offset_range)
+    first = factory().fit(train.series, train.labels)
+    normalized = evaluate_early_classifier(first, test.series, test.labels)
+    second = factory().fit(train.series, train.labels)
+    return normalized, evaluate_early_classifier(
+        second, denormalized.series, denormalized.labels
+    )
+
+
+class _CallCounting(BaseEarlyClassifier):
+    """Answers the first class on its first five evaluations, the second after."""
+
+    def fit(self, series, labels):
+        data, label_arr = self._validate_training_data(series, labels)
+        self._store_training_shape(data, label_arr)
+        self.calls = 0
+        return self
+
+    def checkpoints(self):
+        return [self.train_length_]
+
+    def predict_partial(self, prefix):
+        arr = self._validate_prefix(prefix)
+        label = self.classes_[0] if self.calls < 5 else self.classes_[1]
+        self.calls += 1
+        return PartialPrediction(
+            label=label, ready=True, confidence=1.0, prefix_length=arr.shape[0]
+        )
 
 
 class TestFindHomophones:
@@ -84,6 +120,41 @@ class TestNormalizationAudit:
         # The threshold model consumes raw values, so the perturbation hurts.
         assert audit.accuracy_drop > 0.0
         assert audit.is_sensitive == (audit.accuracy_drop > 0.05)
+
+    def test_factory_called_once(self, gunpoint_small):
+        train, test = gunpoint_small
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return ProbabilityThresholdClassifier(threshold=0.8, min_length=10)
+
+        audit_normalization_sensitivity(factory, train, test)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(default_algorithms(fast=True)))
+    def test_equals_two_fit_protocol(self, name, gunpoint_small):
+        train, test = gunpoint_small
+        test = test.subset(range(0, test.series.shape[0], 2))
+        factory = default_algorithms(fast=True)[name]
+        audit = audit_normalization_sensitivity(factory, train, test)
+        normalized, denormalized = _two_fit_audit(factory, train, test)
+        assert audit.normalized == normalized
+        assert audit.denormalized == denormalized
+
+    def test_model_is_copied_before_the_first_evaluation(self, gunpoint_small):
+        train, test = gunpoint_small
+        classes = np.unique(test.labels)
+        rows = np.concatenate(
+            [np.flatnonzero(test.labels == cls)[:5] for cls in classes]
+        )
+        test = test.subset(rows.tolist())
+        audit = audit_normalization_sensitivity(_CallCounting, train, test)
+        # A copy taken after the normalised evaluation would start at call
+        # ten and answer the second class for every row (accuracy 0.5).
+        assert audit.normalized.accuracy == 1.0
+        assert audit.denormalized.accuracy == 1.0
+        assert audit.normalized == _two_fit_audit(_CallCounting, train, test)[0]
 
     def test_length_mismatch_rejected(self, gunpoint_medium, gunpoint_small):
         train, _ = gunpoint_medium
