@@ -34,12 +34,14 @@ batch-check:
 fit-check:
 	$(PYTHON) -m pytest tests/test_training_kernels.py benchmarks/test_bench_fit.py -q
 
-## serving-layer drift gate: the multi-tenant engine's batched alarms must
-## stay identical to dedicated per-stream sessions (equivalence + fuzz +
-## shedding suites) and keep its >= 5x fleet throughput over sequential
-## sessions (run by CI on every push)
+## streaming/serving drift gate: a session's alarms must stay identical to
+## the offline oracle for every classifier and normalisation mode, the
+## multi-tenant engine's batched alarms identical to dedicated per-stream
+## sessions (equivalence + matrix + fuzz + shedding suites), and both keep
+## their >= 5x throughput gates: the session over the offline loop, the
+## engine's fleet over sequential sessions (run by CI on every push)
 serve-check:
-	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
+	$(PYTHON) -m pytest tests/test_streaming_online.py tests/test_streaming_detector.py tests/test_streaming_matrix.py tests/test_serving.py benchmarks/test_bench_streaming.py benchmarks/test_bench_serving.py -q
 
 ## distance-backend drift gate: the pruned UCR-suite cascade (LB_Kim ->
 ## LB_Keogh -> early-abandoning banded DP) must stay bit-identical to the

@@ -89,7 +89,7 @@ def _sequential_sessions(classifier, streams, config):
     return per_stream
 
 
-def test_bench_serving_engine_speedup(run_once):
+def test_bench_serving_engine_speedup(run_once, bench_metrics):
     classifier, streams = _make_fleet()
     config = TenantConfig(stride=STRIDE, normalization="causal").resolve(classifier)
 
@@ -123,6 +123,15 @@ def test_bench_serving_engine_speedup(run_once):
     reference_sps = REFERENCE_STREAMS * STREAM_SAMPLES / reference_seconds
     engine_sps = N_STREAMS * STREAM_SAMPLES / engine_seconds
     speedup = engine_sps / reference_sps
+    bench_metrics.update(
+        speedup=speedup,
+        reference_seconds=reference_seconds,
+        engine_seconds=engine_seconds,
+        reference_streams=REFERENCE_STREAMS,
+        engine_streams=N_STREAMS,
+        stream_samples=STREAM_SAMPLES,
+        stride=STRIDE,
+    )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"expected >= {REQUIRED_SPEEDUP:.0f}x serving throughput, measured "
         f"{speedup:.1f}x (sequential sessions {reference_sps:,.0f} samples/s "

@@ -337,11 +337,11 @@ class BaseEarlyClassifier(ABC):
         or similar state here; the default ``None`` keeps the naive
         slice-and-recompute behaviour of :meth:`predict_partial`.
 
-        Contract (relied on by the online streaming engine):
+        Contract (relied on by :class:`ClassifierStream`):
 
         * the returned state must be **independent** -- creating a second
-          context must not invalidate the first, because the streaming
-          detector walks every overlapping candidate window concurrently;
+          context must not invalidate the first, because any number of
+          :class:`ClassifierStream` walks may be live at once;
         * ``series`` may be a pre-allocated buffer that is filled in as
           stream samples arrive, so the implementation must not *read*
           values at construction time, and a later
@@ -727,8 +727,7 @@ class BaseEarlyClassifier(ABC):
         Samples are handed over one at a time; checkpoints are evaluated as
         they are reached and the stopping rule (:meth:`_trigger_rule`) is
         applied on the fly.  Any number of streams over the same fitted
-        classifier may be live concurrently -- the online streaming detector
-        keeps one per overlapping candidate window.
+        classifier may be live concurrently.
         """
         return ClassifierStream(self)
 
@@ -758,11 +757,13 @@ class ClassifierStream:
     :meth:`push`, checkpoints (from :meth:`BaseEarlyClassifier.checkpoints`)
     are evaluated through the same :meth:`BaseEarlyClassifier._partial_at_length`
     hook with the same per-exemplar context and stopping rule, so the two
-    entry points reach identical decisions (the streaming equivalence tests
-    pin this).  Unlike ``predict_early`` it never needs the full exemplar up
-    front, and many streams can be live concurrently over one fitted
-    classifier -- which is what lets the online streaming detector keep every
-    overlapping candidate window as its own in-flight walk.
+    entry points reach identical decisions (``TestClassifierStream`` in
+    ``tests/test_streaming_online.py`` pins this).  Unlike ``predict_early`` it never needs the full exemplar up
+    front, so a caller sees each checkpoint's :class:`PartialPrediction` as
+    soon as the samples reach it, and many streams can be live concurrently
+    over one fitted classifier.  (The online streaming session does not use
+    it: a candidate's alarm depends only on its completed window, so the
+    session classifies completed windows in batches.)
 
     Samples are written into a pre-allocated buffer of the training length;
     the incremental context (e.g. a
@@ -869,9 +870,7 @@ class ClassifierStream:
         Writes the whole block into the buffer, then evaluates (in order)
         every checkpoint the block reached, stopping at the trigger point --
         the same decisions as pushing the samples one at a time, at a
-        fraction of the per-sample overhead.  This is the hot path of the
-        online streaming session, which feeds each candidate one segment per
-        candidate birth/completion boundary.
+        fraction of the per-sample overhead.
 
         Returns
         -------

@@ -71,7 +71,8 @@ class _PrefixTerms:
         full = self.covariance.shape[0]
         cov_sp = self.covariance[length:, :length]
         cov_ss = self.covariance[length:, length:]
-        conditional_cov = cov_ss - cov_sp @ cho_solve(self.factor, cov_sp.T)
+        solved = cho_solve(self.factor, cov_sp.T, check_finite=False)
+        conditional_cov = cov_ss - cov_sp @ solved
         conditional_cov = 0.5 * (conditional_cov + conditional_cov.T)
         ridge = 1e-6 * np.trace(self.covariance) / full
         conditional_cov += ridge * np.eye(full - length)
@@ -88,6 +89,10 @@ class _GaussianClassModel:
     ``terms`` holds the :class:`_PrefixTerms` of the lengths the model was
     fitted for (the classifier's checkpoints); any other length is computed
     on the fly by :meth:`prefix_terms` and not stored.
+
+    The solves skip scipy's finiteness check: every factor comes from a
+    finite fitted covariance, and every prefix has passed
+    ``_validate_prefix`` (the Monte Carlo completions are built from both).
     """
 
     label: object
@@ -106,7 +111,7 @@ class _GaussianClassModel:
         dim = self.mean.shape[0]
         terms = self.prefix_terms(dim)
         diffs = rows - self.mean[None, :]
-        solved = cho_solve(terms.factor, diffs.T)
+        solved = cho_solve(terms.factor, diffs.T, check_finite=False)
         quadratic = np.sum(diffs.T * solved, axis=0)
         return -0.5 * (dim * np.log(2 * np.pi) + terms.logdet + quadratic)
 
@@ -114,7 +119,7 @@ class _GaussianClassModel:
         """Log density of the marginal Gaussian of the first ``len(prefix)`` samples."""
         length = prefix.shape[0]
         diff = prefix - self.mean[:length]
-        quadratic = float(diff @ cho_solve(terms.factor, diff))
+        quadratic = float(diff @ cho_solve(terms.factor, diff, check_finite=False))
         return -0.5 * (length * np.log(2 * np.pi) + terms.logdet + quadratic)
 
     def conditional_mean(self, prefix: np.ndarray, terms: _PrefixTerms) -> np.ndarray:
@@ -122,7 +127,7 @@ class _GaussianClassModel:
         length = prefix.shape[0]
         cov_sp = self.covariance[length:, :length]
         return self.mean[length:] + cov_sp @ cho_solve(
-            terms.factor, prefix - self.mean[:length]
+            terms.factor, prefix - self.mean[:length], check_finite=False
         )
 
 

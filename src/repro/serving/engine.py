@@ -9,18 +9,19 @@ per stream would have produced -- the equivalence suite in
 
 Why batching does not change semantics
 --------------------------------------
-A :class:`StreamingSession` advances every open candidate incrementally, but
-nothing it *emits* depends on intermediate state: a candidate's outcome is a
-function of its own (normalised) window alone, and it is only confirmed --
-refractory and saturation rules applied -- once its window completes, in
-candidate-start order.  The engine therefore keeps per-stream state down to
-a raw sample buffer and a :class:`~repro.streaming.online.AlarmGate` (the
-same class the session uses, so the emission rules cannot drift), defers all
-classifier work to window completion, and hands completed windows to the
-:class:`~repro.serving.scheduler.BatchScheduler`, which coalesces windows
-across streams *and tenants sharing a model* into single
-``predict_early_batch`` calls.  Confirmation replays per stream in FIFO
-(= candidate-start) order at :meth:`flush`.
+A candidate's outcome is a function of its own (normalised) window alone,
+and it is only confirmed -- refractory and saturation rules applied -- once
+its window completes, in candidate-start order.  A
+:class:`StreamingSession` already classifies its own completed windows in
+batches; the engine runs the same window path with the batch widened across
+streams.  Each stream's ledger extends the session's private window helper
+(the raw tail, the next candidate start, chunk validation and the
+normalisation mode) and carries a :class:`~repro.streaming.online.AlarmGate`
+(the same class the session uses, so the emission rules cannot drift).
+Completed windows go to the :class:`~repro.serving.scheduler.BatchScheduler`,
+which coalesces them across streams *and tenants sharing a model* into
+single ``predict_early_batch`` calls.  Confirmation replays per stream in
+FIFO (= candidate-start) order at :meth:`flush`.
 
 Load shedding
 -------------
@@ -50,6 +51,7 @@ from repro.streaming.online import (
     Alarm,
     AlarmGate,
     SessionState,
+    _WindowTail,
     causal_znormalize_batch,
 )
 
@@ -65,12 +67,13 @@ class ServedAlarm:
     alarm: Alarm
 
 
-class _StreamLedger:
-    """Per-stream serving state: raw tail buffer, stride cursor, alarm gate.
+class _StreamLedger(_WindowTail):
+    """Per-stream serving state: the session's window tail plus routing.
 
-    This is the whole per-stream footprint -- at most ``L - 1`` buffered
-    samples (the incomplete tail no extracted window covers yet) plus the
-    gate; no per-stream classifier walkers, which is what lets one engine
+    The tail, stride cursor and normalisation mode are the
+    :class:`~repro.streaming.online.StreamingSession`'s own window helper;
+    the ledger adds the alarm gate, the tenant's counters and the lifecycle
+    flags.  No per-stream classifier state, which is what lets one engine
     hold thousands of streams.
     """
 
@@ -78,16 +81,8 @@ class _StreamLedger:
         "tenant",
         "stream_id",
         "classifier",
-        "normalization",
-        "stride",
-        "window_length",
         "gate",
         "counters",
-        "n_channels",
-        "buffer",
-        "base",
-        "count",
-        "next_start",
         "shed",
         "saturated",
         "finalized",
@@ -101,57 +96,17 @@ class _StreamLedger:
         entry: TenantEntry,
         counters: TenantCounters,
     ) -> None:
+        config = entry.config
+        super().__init__(entry.classifier, int(config.stride), config.normalization)
         self.tenant = tenant
         self.stream_id = stream_id
         self.classifier: BaseEarlyClassifier = entry.classifier
-        config = entry.config
-        self.normalization = config.normalization
-        self.stride = int(config.stride)
-        self.window_length = entry.classifier.train_length_
         self.gate = AlarmGate(int(config.refractory), int(config.max_alarms))
         self.counters = counters
-        self.n_channels = entry.classifier.n_channels_
-        self.buffer = self._empty_buffer()
-        self.base = 0  # stream index of buffer[0]
-        self.count = 0  # samples consumed so far
-        self.next_start = 0  # earliest candidate start not yet extracted
         self.shed = False
         self.saturated = False
         self.finalized = False
         self.evicted = False
-
-    @property
-    def live(self) -> bool:
-        """Whether queued candidates of this stream should still be served."""
-        return not (self.shed or self.evicted or self.saturated or self.finalized)
-
-    def append(self, chunk: np.ndarray) -> None:
-        """Ingest a chunk, keeping only the tail future windows need."""
-        keep = self.next_start - self.base
-        self.buffer = np.concatenate([self.buffer[keep:], chunk])
-        self.base = self.next_start
-        self.count += chunk.shape[0]
-
-    def extract_windows(self) -> list[tuple[int, np.ndarray]]:
-        """Pop every candidate window completed by the buffered samples."""
-        windows: list[tuple[int, np.ndarray]] = []
-        while self.next_start + self.window_length <= self.count:
-            offset = self.next_start - self.base
-            window = self.buffer[offset : offset + self.window_length].copy()
-            windows.append((self.next_start, window))
-            self.next_start += self.stride
-        return windows
-
-    def _empty_buffer(self) -> np.ndarray:
-        """An empty buffer of the tenant's sample shape: ``(0,)`` or ``(0, d)``."""
-        if self.n_channels == 1:
-            return np.empty(0)
-        return np.empty((0, self.n_channels))
-
-    def release(self) -> None:
-        """Drop the buffer (stream closed or saturated; no window can form)."""
-        self.buffer = self._empty_buffer()
-        self.base = self.next_start = self.count
 
 
 class ServingEngine:
@@ -205,18 +160,14 @@ class ServingEngine:
         """Session-equivalent snapshot of one open stream.
 
         ``open_candidate_starts`` lists the *incomplete* candidate windows
-        (born but not yet fully buffered) -- the ones a standalone session
-        would be advancing incrementally right now; completed-but-unflushed
-        candidates live in the batching queue, not here.
+        (born but not yet fully buffered), as a standalone session reports
+        them; completed-but-unflushed candidates live in the batching queue,
+        not here.
         """
         ledger = self._ledger(tenant, stream_id)
-        if ledger.saturated or ledger.shed:
-            starts: tuple[int, ...] = ()
-        else:
-            starts = tuple(range(ledger.next_start, ledger.count, ledger.stride))
         return SessionState(
             n_samples=ledger.count,
-            open_candidate_starts=starts,
+            open_candidate_starts=ledger.open_starts(),
             n_alarms=len(ledger.gate.alarms),
             saturated=ledger.saturated,
             finalized=ledger.finalized,
@@ -260,19 +211,8 @@ class ServingEngine:
             self._streams[key] = ledger
             counters.streams_open += 1
 
-        chunk = np.asarray(values, dtype=float)
-        if ledger.n_channels == 1:
-            if chunk.ndim != 1:
-                raise ValueError("stream values must be 1-D")
-        elif chunk.ndim != 2 or chunk.shape[1] != ledger.n_channels:
-            raise ValueError(
-                "stream values for a multichannel tenant must be 2-D "
-                f"(n_samples, n_channels={ledger.n_channels}); got shape "
-                f"{chunk.shape}"
-            )
-        if chunk.size and not np.all(np.isfinite(chunk)):
-            raise ValueError("stream contains non-finite values")
-        if chunk.size == 0:
+        chunk = ledger.validate(values)
+        if chunk.shape[0] == 0:
             return 0
         if ledger.shed:
             # The producer has not yet reacted to backpressure; keep
@@ -283,15 +223,13 @@ class ServingEngine:
             # A saturated stream accepts (and counts) samples but can never
             # alarm again, exactly like a saturated session's ``extend``.
             ledger.count += chunk.shape[0]
-            ledger.next_start = ledger.base = ledger.count
+            ledger.release()
             counters.chunks_ingested += 1
             counters.samples_ingested += chunk.shape[0]
             return int(chunk.shape[0])
 
         # Admission: how many windows would this chunk complete?
-        new_count = ledger.count + chunk.shape[0]
-        room = new_count - ledger.window_length - ledger.next_start
-        n_new = room // ledger.stride + 1 if room >= 0 else 0
+        n_new = ledger.n_ready(chunk.shape[0])
         if n_new and self._scheduler.depth + n_new > self._scheduler.max_pending:
             counters.chunks_shed += 1
             counters.streams_shed += 1
@@ -303,11 +241,13 @@ class ServingEngine:
         ledger.append(chunk)
         counters.chunks_ingested += 1
         counters.samples_ingested += chunk.shape[0]
-        for start, window in ledger.extract_windows():
-            admitted = self._scheduler.admit(PendingCandidate(ledger, start, window))
-            assert admitted  # guaranteed by the admission check above
-            counters.candidates_enqueued += 1
-            counters.candidates_pending += 1
+        if n_new:
+            starts, windows = ledger.extract()
+            for start, window in zip(starts, windows):
+                admitted = self._scheduler.admit(PendingCandidate(ledger, start, window))
+                assert admitted  # guaranteed by the admission check above
+                counters.candidates_enqueued += 1
+                counters.candidates_pending += 1
         return int(chunk.shape[0])
 
     # ------------------------------------------------------------ evaluation

@@ -9,9 +9,10 @@ what happens to those completed windows:
   queue is full the engine sheds load instead of growing without bound;
 * **coalescing** -- at flush time, pending candidates from *different
   streams and different tenants* that share a model and a normalisation
-  mode are stacked into one matrix, normalised in one vectorised pass
-  (:func:`~repro.streaming.online.causal_znormalize_batch` /
-  :func:`~repro.distance.znorm.znormalize`), and classified in one
+  mode are stacked into one matrix, normalised in one vectorised pass (the
+  stream ledger's ``normalize``, the call a
+  :class:`~repro.streaming.online.StreamingSession` makes on its own
+  windows), and classified in one
   :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_early_batch`
   call riding the batched prefix-distance kernels of
   :mod:`repro.distance.engine`.
@@ -29,8 +30,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.classifiers.base import EarlyPrediction
-from repro.distance.znorm import znormalize
-from repro.streaming.online import causal_znormalize_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.engine import _StreamLedger
@@ -114,11 +113,9 @@ class BatchScheduler:
             groups.setdefault(key, []).append(index)
         for indices in groups.values():
             first = items[indices[0]].ledger
-            # 1-D univariate windows vstack to (n, L); 2-D (L, d) multichannel
-            # windows must stack along a new leading axis to (n, L, d).
-            stacker = np.vstack if items[indices[0]].window.ndim == 1 else np.stack
-            windows = stacker([items[i].window for i in indices])
-            normalized = _normalize_windows(windows, first.normalization)
+            # (L,) univariate windows stack to (n, L), (L, d) ones to (n, L, d).
+            windows = np.stack([items[i].window for i in indices])
+            normalized = first.normalize(windows)
             predictions = first.classifier.predict_early_batch(
                 normalized, batch_size=self.batch_size
             )
@@ -126,22 +123,3 @@ class BatchScheduler:
             for position, index in enumerate(indices):
                 outcomes[index] = predictions[position]
         return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _normalize_windows(windows: np.ndarray, mode: str) -> np.ndarray:
-    """Apply one tenant group's normalisation mode to a stack of windows.
-
-    ``"window"`` z-normalises each row with whole-window statistics (the
-    paper's "peeking" mode, row-wise identical to the per-window
-    :func:`~repro.distance.znorm.znormalize` the session applies);
-    ``"causal"`` uses the one-shot batched causal kernel, whose element
-    operations match a fresh :class:`~repro.streaming.online.RunningCausalStats`
-    slot bit for bit.
-    """
-    if mode == "none":
-        return windows
-    if mode == "window":
-        return znormalize(windows)
-    if mode == "causal":
-        return causal_znormalize_batch(windows)
-    raise ValueError(f"unknown normalization mode {mode!r}")

@@ -8,14 +8,13 @@ package provides the machinery to run that deployment honestly:
 
 * :mod:`repro.streaming.online` is the engine: a
   :class:`~repro.streaming.online.StreamingSession` ingests samples push by
-  push, keeps every overlapping candidate window in flight as incremental
-  classifier state, causally normalises with O(1)-per-sample running
-  statistics, and a :class:`~repro.streaming.online.MultiStreamDetector`
-  fans a batch of independent streams through concurrent sessions;
+  push, keeps only the raw tail its incomplete candidate windows need, and
+  classifies each batch of completed windows in one normalisation call and
+  one ``predict_early_batch`` call (the serving layer runs the same window
+  path); a :class:`~repro.streaming.online.MultiStreamDetector` runs a batch
+  of independent streams, one session each;
 * :class:`~repro.streaming.detector.StreamingEarlyDetector` is the
-  experiment-facing facade (its ``detect`` delegates to the engine; its
-  ``detect_reference`` keeps the original offline loop as the semantic
-  reference the equivalence tests compare against);
+  experiment-facing facade (its ``detect`` delegates to the engine);
 * :mod:`repro.streaming.events` matches alarms against ground-truth event
   annotations;
 * :mod:`repro.streaming.metrics` turns the matches into the quantities the
@@ -30,11 +29,9 @@ from repro.streaming.online import (
     Alarm,
     AlarmGate,
     MultiStreamDetector,
-    RunningCausalStats,
     SessionState,
     StreamingSession,
     causal_znormalize_batch,
-    incremental_causal_znormalize,
 )
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.events import AlarmMatch, match_alarms_to_events
@@ -48,9 +45,7 @@ __all__ = [
     "StreamingEarlyDetector",
     "StreamingSession",
     "MultiStreamDetector",
-    "RunningCausalStats",
     "causal_znormalize_batch",
-    "incremental_causal_znormalize",
     "AlarmMatch",
     "match_alarms_to_events",
     "StreamingEvaluation",

@@ -1,64 +1,59 @@
-"""The online, batched streaming detection engine.
+"""The online streaming detection engine.
 
-:class:`~repro.streaming.detector.StreamingEarlyDetector` (the offline
-reference) materialises the whole stream, re-runs ``predict_early`` from
-scratch for every candidate window, and causally normalises each window with
-an ``O(L^2)`` pure-Python loop.  That reproduces the paper's argument but can
-neither serve live traffic nor scale.  This module provides the deployment
-path:
+A deployed early classifier sees an unbounded stream and must treat every
+``stride``-th sample as a potential pattern start.  This module runs that
+deployment:
 
-* :class:`StreamingSession` ingests samples (or chunks) one push at a time
-  and maintains **all overlapping candidate windows concurrently**, each as
-  an incremental :class:`~repro.classifiers.base.ClassifierStream` riding the
-  prefix-sweep machinery of :mod:`repro.distance.engine` -- no candidate is
-  ever re-evaluated from scratch;
-* :class:`RunningCausalStats` replaces the per-window ``O(L^2)``
-  causal-normalisation loop with ``O(1)``-per-sample running mean/variance
-  (Welford), updated for every concurrent candidate in one vectorised
-  operation per arriving sample;
-* :class:`MultiStreamDetector` fans a batch of independent streams through
-  concurrent sessions in chunked lockstep, one candidate bank per stream.
+* :class:`StreamingSession` ingests samples (or chunks) one push at a time.
+  Its per-stream state is the raw tail no completed window covers yet, the
+  next candidate start and an :class:`AlarmGate`.  Each chunk's completed
+  candidate windows are cut from the tail, normalised in one vectorised call
+  (:func:`causal_znormalize_batch` in ``"causal"`` mode) and classified in
+  one :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_early_batch`
+  call;
+* :class:`MultiStreamDetector` runs a batch of independent streams, one
+  session per stream.
 
-**Alarm semantics are identical to the offline detector** (the equivalence
-suite in ``tests/test_streaming_online.py`` pins this, field by field):
+The serving engine (:mod:`repro.serving.engine`) cuts, validates and
+normalises windows with the same private helper, so a dedicated session and
+a served stream classify identical windows.
+
+**Alarm semantics match the offline loop** (the equivalence suites in
+``tests/test_streaming_online.py`` and ``tests/test_streaming_matrix.py``
+pin this, field by field, against the oracle in ``tests/oracles``):
 candidates start at every ``stride``-th sample, only candidates whose full
 window fits in the stream may alarm, alarms are confirmed in candidate-start
-order, and the refractory / ``max_alarms`` rules apply at confirmation.  The
-one semantic consequence of being online is *latency*: a trigger at stream
-position ``p`` inside the candidate starting at ``s`` is only **confirmed**
-(emitted) once sample ``s + L - 1`` has arrived, because until then the
-engine cannot know that the candidate's window fits in the stream -- exactly
-the eligibility rule the offline detector applies by construction.  The
-triggered :class:`~repro.classifiers.base.ClassifierStream` outcome itself is
-available the moment the trigger checkpoint fires.
+order, and the refractory / ``max_alarms`` rules apply at confirmation.  A
+candidate's outcome is a function of its own completed window only, so the
+one consequence of being online is *latency*: a trigger at stream position
+``p`` inside the candidate starting at ``s`` is emitted once sample
+``s + L - 1`` has arrived, because until then the engine cannot know that the
+candidate's window fits in the stream.
 
 The ``"window"`` normalisation mode z-normalises each candidate with
 whole-window statistics and therefore *requires future data* (the paper's
-"peeking" flaw).  The session supports it for apples-to-apples experiments by
-buffering each candidate until its window completes; only ``"none"`` and
-``"causal"`` are genuinely online modes.
+"peeking" flaw); it is supported for apples-to-apples experiments.  Only
+``"none"`` and ``"causal"`` are genuinely online modes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, ClassifierStream, EarlyPrediction
+from repro.classifiers.base import BaseEarlyClassifier, EarlyPrediction
 from repro.data.stream import ComposedStream
 from repro.distance.znorm import EPSILON, znormalize
+from repro.memory import get_memory_budget
 
 __all__ = [
     "Alarm",
     "AlarmGate",
     "NormalizationMode",
-    "RunningCausalStats",
     "SessionState",
     "causal_znormalize_batch",
-    "incremental_causal_znormalize",
     "StreamingSession",
     "MultiStreamDetector",
 ]
@@ -170,224 +165,18 @@ class SessionState:
     finalized: bool
 
 
-class RunningCausalStats:
-    """Vectorised running mean/variance for a bank of concurrent candidates.
-
-    Each *slot* tracks one growing candidate window.  Adding a stream sample
-    to every active slot is one vectorised Welford update -- ``O(1)`` work
-    per (sample, candidate) with no per-window recomputation -- and returns
-    the causally z-normalised sample for each slot: ``(x - mean) / std``
-    over the samples that slot has seen so far, with the same
-    ``std < 1e-12 -> 0`` convention as batch z-normalisation
-    (:data:`repro.distance.znorm.EPSILON`).
-
-    Numerics: sums are accumulated in baseline-centred coordinates (each
-    slot's samples are shifted by its carried running mean before
-    summation) and the M2 update is Welford's shift-invariant recurrence,
-    so a large DC offset in the stream never enters the cumulative sums.
-    The result agrees with the naive per-prefix ``seen.mean()/seen.std()``
-    recomputation to float round-off (the property-based tests pin
-    ``<= 1e-10`` on well-conditioned streams, and track the reference's own
-    conditioning limit on extreme-offset ones).
-    """
-
-    def __init__(self, capacity: int, n_channels: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        self._channels = int(n_channels)
-        self._count = np.zeros(capacity)
-        if self._channels == 1:
-            self._mean = np.zeros(capacity)
-            self._m2 = np.zeros(capacity)
-        else:
-            # Per-channel running statistics: channel-last, matching the
-            # (length, n_channels) sample convention of the whole stack.
-            self._mean = np.zeros((capacity, self._channels))
-            self._m2 = np.zeros((capacity, self._channels))
-
-    @property
-    def capacity(self) -> int:
-        """Number of slots in the bank."""
-        return self._count.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        """Number of channels per sample (1 for univariate banks)."""
-        return self._channels
-
-    def reset(self, slot: int) -> None:
-        """Recycle a slot for a new candidate window."""
-        self._count[slot] = 0.0
-        self._mean[slot] = 0.0
-        self._m2[slot] = 0.0
-
-    def push(self, slots: np.ndarray, value) -> np.ndarray:
-        """Add ``value`` to every slot in ``slots``; return normalised samples.
-
-        ``value`` is a scalar on univariate banks and a length-``d`` vector
-        (one reading per channel) on multichannel banks.
-
-        Returns
-        -------
-        numpy.ndarray
-            One causally z-normalised sample per entry of ``slots`` -- a
-            scalar per slot for univariate banks, a ``(n_channels,)`` vector
-            per slot otherwise (0.0 where the slot's running standard
-            deviation is below :data:`~repro.distance.znorm.EPSILON`).
-        """
-        if self._channels == 1:
-            return self.push_block(slots, np.asarray([value], dtype=float))[:, 0]
-        sample = np.asarray(value, dtype=float)
-        if sample.shape != (self._channels,):
-            raise ValueError(
-                f"each sample must be a length-{self._channels} vector (one "
-                f"reading per channel); got shape {sample.shape}"
-            )
-        return self.push_block(slots, sample[None, :])[:, 0]
-
-    def push_block(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Add a block of consecutive samples to every slot; return normalised blocks.
-
-        The per-sample Welford recurrence ``M2 += (v - mean_prev) * (v -
-        mean_cur)`` is applied with all intermediate running means computed
-        vectorially, so one call does ``O(n_slots * k)`` flat numpy work
-        instead of ``k`` python-level updates -- this is what lets the
-        streaming session consume a whole segment of stream between candidate
-        births/completions in one operation per candidate bank.
-
-        Parameters
-        ----------
-        slots:
-            Integer slot indices (each slot tracks one candidate window).
-        values:
-            Block of consecutive stream samples, appended to every slot:
-            1-D ``(k,)`` for univariate banks, 2-D ``(k, n_channels)``
-            (axis 0 = time, axis 1 = channel) for multichannel banks.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(len(slots), k)`` for univariate banks or ``(len(slots), k,
-            n_channels)`` otherwise: row ``j`` holds the causally
-            z-normalised samples as seen by slot ``j``.
-        """
-        block = np.asarray(values, dtype=float)
-        if self._channels > 1:
-            if block.ndim != 2 or block.shape[1] != self._channels:
-                raise ValueError(
-                    "values must be a 2-D (n_samples, n_channels) block with "
-                    f"n_channels={self._channels} (axis 0 = time, axis 1 = "
-                    f"channel); got shape {block.shape}"
-                )
-            return self._push_block_multichannel(slots, block)
-        if block.ndim != 1:
-            raise ValueError(
-                "values must be a 1-D block of samples for a univariate "
-                f"bank; got shape {block.shape}"
-            )
-        count0 = self._count[slots][:, None]
-        if block.shape[0] == 0:
-            return np.zeros((count0.shape[0], 0))
-        mean0 = self._mean[slots][:, None]
-        m2_0 = self._m2[slots][:, None]
-        k = block.shape[0]
-        counts = count0 + np.arange(1.0, k + 1.0)[None, :]
-        # Accumulate in baseline-centred coordinates: each slot's samples are
-        # shifted by its carried running mean (or the block's first sample
-        # for a fresh slot) before summation, so a large DC offset in the
-        # stream never enters the cumulative sums -- the failure mode that
-        # makes the raw-value cumsum shortcut lose digits.  The running mean
-        # of the raw data is then ``baseline + cumsum(shifted) / counts``
-        # (the carried term ``count0 * (mean0 - baseline)`` is exactly zero
-        # for both slot states), and the M2 recurrence is shift-invariant.
-        baseline = np.where(count0 > 0.0, mean0, block[0])
-        shifted = block[None, :] - baseline
-        shifted_means = np.cumsum(shifted, axis=1) / counts
-        previous_shifted_means = np.concatenate(
-            [mean0 - baseline, shifted_means[:, :-1]], axis=1
-        )
-        m2 = m2_0 + np.cumsum(
-            (shifted - previous_shifted_means) * (shifted - shifted_means), axis=1
-        )
-        self._count[slots] = counts[:, -1]
-        self._mean[slots] = (baseline + shifted_means[:, -1:])[:, 0]
-        self._m2[slots] = m2[:, -1]
-        std = np.sqrt(np.maximum(m2, 0.0) / counts)
-        out = np.zeros_like(std)
-        np.divide(shifted - shifted_means, std, out=out, where=std >= EPSILON)
-        return out
-
-    def _push_block_multichannel(
-        self, slots: np.ndarray, block: np.ndarray
-    ) -> np.ndarray:
-        """Per-channel Welford update over a ``(k, n_channels)`` block.
-
-        The same baseline-centred recurrences as the univariate path with a
-        trailing channel axis riding along every operation (the per-slot
-        sample count is shared across channels).
-        """
-        count0 = self._count[slots][:, None, None]
-        if block.shape[0] == 0:
-            return np.zeros((count0.shape[0], 0, self._channels))
-        mean0 = self._mean[slots][:, None, :]
-        m2_0 = self._m2[slots][:, None, :]
-        k = block.shape[0]
-        counts = count0 + np.arange(1.0, k + 1.0)[None, :, None]
-        baseline = np.where(count0 > 0.0, mean0, block[0][None, None, :])
-        shifted = block[None, :, :] - baseline
-        shifted_means = np.cumsum(shifted, axis=1) / counts
-        previous_shifted_means = np.concatenate(
-            [mean0 - baseline, shifted_means[:, :-1, :]], axis=1
-        )
-        m2 = m2_0 + np.cumsum(
-            (shifted - previous_shifted_means) * (shifted - shifted_means), axis=1
-        )
-        self._count[slots] = counts[:, -1, 0]
-        self._mean[slots] = (baseline + shifted_means[:, -1:, :])[:, 0, :]
-        self._m2[slots] = m2[:, -1, :]
-        std = np.sqrt(np.maximum(m2, 0.0) / counts)
-        out = np.zeros_like(std)
-        np.divide(shifted - shifted_means, std, out=out, where=std >= EPSILON)
-        return out
-
-
-def incremental_causal_znormalize(window: np.ndarray) -> np.ndarray:
-    """Causally z-normalise one candidate window in ``O(L)``.
-
-    The single-candidate view of :class:`RunningCausalStats`: sample ``i`` is
-    normalised with the running statistics of ``window[: i + 1]``.  Matches
-    the naive per-prefix recomputation (the offline detector's ``O(L^2)``
-    loop) to float round-off; the property-based tests pin ``<= 1e-10``,
-    including exactly-constant and near-constant segments.
-
-    A 2-D ``(length, n_channels)`` window is normalised per channel (each
-    channel keeps its own running statistics over the shared time axis).
-    """
-    arr = np.asarray(window, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError(
-            "window must be a 1-D (length,) series or a 2-D (length, "
-            f"n_channels) multichannel exemplar; got shape {arr.shape}"
-        )
-    if arr.shape[0] == 0:
-        return arr.copy()
-    return causal_znormalize_batch(arr[None])[0]
-
-
 def causal_znormalize_batch(windows: np.ndarray) -> np.ndarray:
     """Causally z-normalise a whole bank of candidate windows in one pass.
 
-    Row ``j`` of the result is :func:`incremental_causal_znormalize` of row
-    ``j`` of ``windows`` -- the same baseline-centred Welford recurrences as
-    :meth:`RunningCausalStats.push_block` on a fresh slot, applied to every
-    row at once (the element-wise operations are identical, so the two agree
-    bit for bit; the property tests pin this).  This is the normalisation
-    kernel of the serving layer's batching scheduler: candidate windows
-    completed by *different* streams are stacked into one ``(n_windows, L)``
-    matrix and normalised together, instead of one
-    :class:`RunningCausalStats` update per stream per segment.
+    Sample ``i`` of row ``j`` is normalised with the statistics of
+    ``windows[j, : i + 1]`` (``std < 1e-12 -> 0``, the batch convention of
+    :data:`repro.distance.znorm.EPSILON`).  The running mean and variance
+    follow Welford's recurrences in baseline-centred coordinates (each row is
+    shifted by its first sample before summation), so a large DC offset never
+    enters the cumulative sums; the property tests pin agreement with the
+    naive per-prefix recomputation to ``<= 1e-10``.  This is the causal
+    normalisation kernel of both the streaming session and the serving
+    layer's batching scheduler.
 
     A 3-D ``(n_windows, length, n_channels)`` bank is normalised per
     channel -- the identical recurrences with the channel axis riding along.
@@ -419,39 +208,132 @@ def causal_znormalize_batch(windows: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Candidate:
-    """One in-flight candidate window of a :class:`StreamingSession`."""
+class _WindowTail:
+    """One stream's window cursor: raw tail, next candidate start, mode.
 
-    __slots__ = ("start", "walker", "slot", "outcome")
+    The single window path of the package.  :class:`StreamingSession` and the
+    serving engine's per-stream ledger both validate chunks, cut completed
+    candidate windows and normalise them here.  Between calls the buffer
+    holds only the samples an incomplete candidate window still needs (at
+    most ``L - 1``).
+    """
 
-    def __init__(self, start: int, walker: ClassifierStream | None, slot: int) -> None:
-        self.start = start
-        self.walker = walker
-        self.slot = slot
-        self.outcome: EarlyPrediction | None = None
+    __slots__ = (
+        "window_length",
+        "n_channels",
+        "stride",
+        "normalization",
+        "buffer",
+        "base",
+        "count",
+        "next_start",
+    )
+
+    def __init__(
+        self, classifier: BaseEarlyClassifier, stride: int, normalization: str
+    ) -> None:
+        self.window_length = classifier.train_length_
+        self.n_channels = classifier.n_channels_
+        self.stride = stride
+        self.normalization = normalization
+        self.buffer = self._empty_buffer()
+        self.base = 0  # stream index of buffer[0]
+        self.count = 0  # samples consumed so far
+        self.next_start = 0  # earliest candidate start not yet extracted
+
+    def validate(self, values: np.ndarray) -> np.ndarray:
+        """A chunk as a float array of this stream's sample shape, all finite."""
+        chunk = np.asarray(values, dtype=float)
+        if self.n_channels == 1:
+            if chunk.ndim != 1:
+                raise ValueError("stream values must be 1-D")
+        elif chunk.ndim != 2 or chunk.shape[1] != self.n_channels:
+            raise ValueError(
+                "stream values must be a 2-D (n_samples, n_channels) chunk "
+                f"with n_channels={self.n_channels} (axis 0 = time, axis 1 = "
+                f"channel); got shape {chunk.shape}"
+            )
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("stream contains non-finite values")
+        return chunk
+
+    def n_ready(self, n_more: int = 0) -> int:
+        """Completed windows not yet extracted once ``n_more`` samples arrive."""
+        room = self.count + n_more - self.window_length - self.next_start
+        return room // self.stride + 1 if room >= 0 else 0
+
+    def open_starts(self) -> tuple[int, ...]:
+        """Starts of the candidates born but not yet complete (none once released)."""
+        return tuple(range(self.next_start, self.count, self.stride))
+
+    def append(self, chunk: np.ndarray) -> None:
+        """Ingest a validated chunk."""
+        self.buffer = np.concatenate([self.buffer, chunk])
+        self.count += chunk.shape[0]
+
+    def extract(self, limit: int | None = None) -> tuple[range, np.ndarray]:
+        """Pop up to ``limit`` completed windows, in candidate-start order.
+
+        Call only when :meth:`n_ready` is positive.  Returns the candidate
+        starts and a copy of the raw windows stacked into one ``(n, L)`` (or
+        ``(n, L, d)``) array.
+        """
+        n = self.n_ready() if limit is None else min(self.n_ready(), limit)
+        starts = range(self.next_start, self.next_start + n * self.stride, self.stride)
+        windows = np.array(
+            [self.buffer[s - self.base : s - self.base + self.window_length] for s in starts]
+        )
+        self.next_start += n * self.stride
+        keep = min(self.next_start, self.count) - self.base
+        self.buffer = self.buffer[keep:]
+        self.base += keep
+        return starts, windows
+
+    def normalize(self, windows: np.ndarray) -> np.ndarray:
+        """Apply the stream's normalisation mode to a stack of windows.
+
+        ``"window"`` z-normalises each row with whole-window statistics (the
+        paper's "peeking" mode); ``"causal"`` runs
+        :func:`causal_znormalize_batch`.
+        """
+        if self.normalization == "none":
+            return windows
+        if self.normalization == "window":
+            return znormalize(windows)
+        if self.normalization == "causal":
+            return causal_znormalize_batch(windows)
+        raise ValueError(f"unknown normalization mode {self.normalization!r}")
+
+    def release(self) -> None:
+        """Drop the buffer (stream closed or saturated; no window can form)."""
+        self.buffer = self._empty_buffer()
+        self.base = self.next_start = self.count
+
+    def _empty_buffer(self) -> np.ndarray:
+        """An empty buffer of the stream's sample shape: ``(0,)`` or ``(0, d)``."""
+        if self.n_channels == 1:
+            return np.empty(0)
+        return np.empty((0, self.n_channels))
 
 
 class StreamingSession:
     """Online detection over one stream: push samples in, get alarms out.
 
     Parameters mirror :class:`~repro.streaming.detector.StreamingEarlyDetector`
-    (same defaults, same semantics); the difference is the execution model.
-    Every ``stride``-th sample opens a candidate window, all open candidates
-    are advanced concurrently as each sample arrives, and a candidate is
-    *confirmed* -- its alarm emitted, the refractory and ``max_alarms`` rules
-    applied -- when its window completes, in candidate-start order.
-    Candidates whose window never completes (the stream ended first) are
-    discarded at :meth:`finalize`, matching the offline detector's candidate
-    eligibility.
+    (same defaults, same semantics).  Every ``stride``-th sample opens a
+    candidate window; a candidate is classified once its window completes,
+    and *confirmed* -- its alarm emitted, the refractory and ``max_alarms``
+    rules applied -- in candidate-start order.  Candidates whose window never
+    completes (the stream ended first) are discarded at :meth:`finalize`,
+    matching the offline detector's candidate eligibility.
 
-    Per arriving sample the session does ``O(A)`` work for ``A = ceil(L /
-    stride)`` overlapping candidates: one vectorised
-    :class:`RunningCausalStats` update across the whole bank (``"causal"``
-    mode) plus one :meth:`~repro.classifiers.base.ClassifierStream.push` per
-    undecided candidate -- versus the offline loop's ``O(L^2)`` per-window
-    normalisation and from-scratch re-prediction.  In ``"window"`` mode the
-    raw stream is buffered and each candidate is evaluated once its window
-    completes (whole-window normalisation needs future data by definition).
+    Each :meth:`extend` classifies the windows its chunk completes in
+    blocks: one normalisation call and one
+    :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_early_batch`
+    call per block, with the block's raw windows sized to
+    :func:`repro.memory.get_memory_budget`.  Confirmation stops at
+    saturation, so no candidate after the ``max_alarms`` cap is classified
+    beyond the block that reached it.
 
     Examples
     --------
@@ -495,40 +377,19 @@ class StreamingSession:
         self._gate = AlarmGate(refractory, max_alarms)
         self.refractory = self._gate.refractory
         self.max_alarms = self._gate.max_alarms
-
-        self._count = 0
-        self._active: deque[_Candidate] = deque()
-        self._feeding: list[_Candidate] = []
-        self._feed_slots = np.empty(0, dtype=np.intp)
-        self._saturated = False
+        self._tail = _WindowTail(classifier, self.stride, normalization)
         self._finalized = False
-        # One normalisation slot per concurrently open candidate; candidate
-        # k (start = k * stride) recycles slot k mod capacity, and windows
-        # are exactly L samples long, so live candidates never collide.
-        n_slots = self.window_length // self.stride + 2
-        self._stats = (
-            RunningCausalStats(n_slots, n_channels=self.n_channels)
-            if normalization == "causal"
-            else None
-        )
-        # Whole-window normalisation needs the raw window at completion time;
-        # the genuinely online modes never re-read past samples.
-        if normalization == "window":
-            shape = 4096 if self.n_channels == 1 else (4096, self.n_channels)
-            self._values = np.empty(shape)
-        else:
-            self._values = None
 
     # ------------------------------------------------------------ properties
     @property
     def n_samples(self) -> int:
         """Number of stream samples consumed so far."""
-        return self._count
+        return self._tail.count
 
     @property
     def n_open_candidates(self) -> int:
         """Number of candidate windows currently in flight."""
-        return len(self._active)
+        return len(self.export_state().open_candidate_starts)
 
     @property
     def alarms(self) -> list[Alarm]:
@@ -547,10 +408,10 @@ class StreamingSession:
         scheduler and the monitoring surface consume.
         """
         return SessionState(
-            n_samples=self._count,
-            open_candidate_starts=tuple(c.start for c in self._active),
+            n_samples=self._tail.count,
+            open_candidate_starts=self._tail.open_starts(),
             n_alarms=len(self._gate.alarms),
-            saturated=self._saturated,
+            saturated=self._gate.saturated,
             finalized=self._finalized,
         )
 
@@ -566,161 +427,56 @@ class StreamingSession:
         return self.extend(np.asarray(value, dtype=float)[None])
 
     def extend(self, values: np.ndarray) -> list[Alarm]:
-        """Consume a chunk of samples; return the alarms the chunk confirmed.
-
-        The chunk is processed in *segments* delimited by candidate births
-        (every ``stride``-th stream index) and window completions, so between
-        boundaries the whole active candidate bank advances in one vectorised
-        normalisation update and one buffered block per candidate walk --
-        this segment batching, not the chunk size, is what amortises the
-        per-sample Python overhead.
-        """
+        """Consume a chunk of samples; return the alarms the chunk confirmed."""
         if self._finalized:
             raise RuntimeError("the session has been finalized")
-        chunk = np.asarray(values, dtype=float)
-        if self.n_channels == 1:
-            if chunk.ndim != 1:
-                raise ValueError("stream values must be 1-D")
-        elif chunk.ndim != 2 or chunk.shape[1] != self.n_channels:
-            raise ValueError(
-                "stream values must be a 2-D (n_samples, n_channels) chunk "
-                f"with n_channels={self.n_channels} (axis 0 = time, axis 1 = "
-                f"channel); got shape {chunk.shape}"
-            )
+        tail = self._tail
+        chunk = tail.validate(values)
         if chunk.shape[0] == 0:
             return []
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("stream contains non-finite values")
-        if self._values is not None:
-            self._store(chunk)
+        if self._gate.saturated:
+            tail.count += chunk.shape[0]
+            tail.release()
+            return []
         emitted_from = len(self._gate.alarms)
-        offset = 0
-        total = chunk.shape[0]
-        while offset < total:
-            if self._saturated:
-                self._count += total - offset
-                break
-            position = self._count
-            if position % self.stride == 0:
-                self._open_candidate(position)
-            # The segment runs to the next boundary: the next candidate birth,
-            # or one past the sample that completes the oldest open window.
-            next_birth = (position // self.stride + 1) * self.stride
-            end = min(total - offset, next_birth - position)
-            if self._active:
-                completing = self._active[0].start + self.window_length - 1
-                end = min(end, completing - position + 1)
-            self._consume(chunk[offset : offset + end])
-            self._count += end
-            offset += end
-            if self._active and self._active[0].start + self.window_length == self._count:
-                self._confirm(self._active.popleft())
+        tail.append(chunk)
+        window_bytes = self.window_length * self.n_channels * 8
+        rows = max(1, get_memory_budget() // window_bytes)
+        while tail.n_ready():
+            starts, windows = tail.extract(rows)
+            outcomes = self.classifier.predict_early_batch(tail.normalize(windows))
+            for start, outcome in zip(starts, outcomes):
+                self._gate.confirm(start, outcome)
+                if self._gate.saturated:
+                    # The offline loop stops evaluating candidates entirely
+                    # once the cap is reached; no later candidate may alarm.
+                    tail.release()
+                    return self._gate.alarms[emitted_from:]
         return self._gate.alarms[emitted_from:]
 
     def finalize(self) -> list[Alarm]:
         """Declare the stream over and return the full alarm list.
 
         Candidates whose window never completed are discarded -- the offline
-        detector never considers a start that cannot fit a full window, and
-        the equivalence suite holds the engine to the same rule.
+        detector never considers a start that cannot fit a full window.
         """
         if not self._finalized:
             self._finalized = True
-            self._active.clear()
-            self._feeding = []
+            self._tail.release()
         return list(self._gate.alarms)
-
-    # ------------------------------------------------------------ internals
-    def _store(self, chunk: np.ndarray) -> None:
-        assert self._values is not None
-        needed = self._count + chunk.shape[0]
-        if needed > self._values.shape[0]:
-            grown = np.empty(
-                (max(needed, 2 * self._values.shape[0]),) + self._values.shape[1:]
-            )
-            grown[: self._count] = self._values[: self._count]
-            self._values = grown
-        self._values[self._count : needed] = chunk
-
-    def _refresh_feeding(self) -> None:
-        self._feeding = [c for c in self._active if c.outcome is None and c.walker is not None]
-        self._feed_slots = np.fromiter(
-            (c.slot for c in self._feeding), dtype=np.intp, count=len(self._feeding)
-        )
-
-    def _open_candidate(self, start: int) -> None:
-        slot = (start // self.stride) % (
-            self._stats.capacity if self._stats is not None else 1
-        )
-        if self._stats is not None:
-            self._stats.reset(slot)
-        walker = None if self.normalization == "window" else self.classifier.open_stream()
-        self._active.append(_Candidate(start, walker, slot))
-        if walker is not None:
-            self._refresh_feeding()
-
-    def _consume(self, segment: np.ndarray) -> None:
-        """Advance every undecided candidate over one boundary-free segment."""
-        if not self._feeding:
-            return
-        if self._stats is not None:
-            normalized = self._stats.push_block(self._feed_slots, segment)
-        else:
-            normalized = None
-        decided = False
-        for index, candidate in enumerate(self._feeding):
-            block = segment if normalized is None else normalized[index]
-            if candidate.walker.feed(block) is not None:
-                candidate.outcome = candidate.walker.outcome
-                decided = True
-        if decided:
-            self._refresh_feeding()
-
-    def _confirm(self, candidate: _Candidate) -> None:
-        """Finalize one completed candidate, applying the emission rules.
-
-        Candidates complete in start order (equal window lengths), so
-        confirming through the :class:`AlarmGate` reproduces the offline
-        detector's sequential walk: the saturation check, the refractory
-        comparison against the last *emitted* alarm, and the alarm field
-        values are all identical.
-        """
-        if candidate.walker is None:
-            # Whole-window ("peeking") mode: normalise and walk only now that
-            # the window exists, exactly as the offline detector does.
-            assert self._values is not None
-            window = self._values[candidate.start : candidate.start + self.window_length]
-            if self.n_channels == 1:
-                normalized = znormalize(window)
-            else:
-                normalized = znormalize(window, channel_axis=-1)
-            candidate.outcome = self.classifier.predict_early(normalized)
-        outcome = candidate.outcome
-        assert outcome is not None  # the walker decides by window completion
-        self._gate.confirm(candidate.start, outcome)
-        if self._gate.saturated:
-            # The offline loop stops evaluating candidates entirely once the
-            # cap is reached; no later candidate may alarm.
-            self._saturated = True
-            self._active.clear()
-            self._feeding = []
 
 
 class MultiStreamDetector:
-    """Fan a batch of independent streams through concurrent online sessions.
+    """Run a batch of independent streams, one online session per stream.
 
-    One :class:`StreamingSession` -- one vectorised candidate bank -- per
-    stream, fed in chunked lockstep the way a service would drain a set of
-    live telemetry feeds.  Streams may have different lengths; each stream's
-    alarm list is exactly what a standalone session (and therefore the
-    offline detector) would produce for it.
+    Streams may have different lengths; each stream's alarm list is exactly
+    what a standalone :class:`StreamingSession` (and therefore the offline
+    detector) would produce for it.
 
     Parameters
     ----------
     classifier, stride, normalization, refractory, max_alarms:
         As for :class:`StreamingSession`; shared by every stream.
-    chunk_size:
-        Number of samples per stream consumed per lockstep round.
     """
 
     def __init__(
@@ -730,10 +486,7 @@ class MultiStreamDetector:
         normalization: NormalizationMode = "none",
         refractory: int | None = None,
         max_alarms: int = 100_000,
-        chunk_size: int = 1024,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         # Validate the shared parameters eagerly (and fail before any data
         # arrives) by building a throwaway session.
         probe = StreamingSession(
@@ -748,50 +501,26 @@ class MultiStreamDetector:
         self.normalization = probe.normalization
         self.refractory = probe.refractory
         self.max_alarms = probe.max_alarms
-        self.chunk_size = chunk_size
 
-    def open_sessions(self, n_streams: int) -> list[StreamingSession]:
-        """One fresh session per stream, all with the detector's parameters."""
-        if n_streams < 1:
+    def detect(
+        self, streams: Sequence[ComposedStream | np.ndarray]
+    ) -> list[list[Alarm]]:
+        """Run every stream through its own session; return per-stream alarms."""
+        if len(streams) == 0:
             raise ValueError("need at least one stream")
-        return [
-            StreamingSession(
+        per_stream = []
+        for stream in streams:
+            values = stream.values if isinstance(stream, ComposedStream) else stream
+            session = StreamingSession(
                 self.classifier,
                 stride=self.stride,
                 normalization=self.normalization,
                 refractory=self.refractory,
                 max_alarms=self.max_alarms,
             )
-            for _ in range(n_streams)
-        ]
-
-    def detect(
-        self, streams: Sequence[ComposedStream | np.ndarray]
-    ) -> list[list[Alarm]]:
-        """Run every stream through its own session; return per-stream alarms."""
-        expected_ndim = 1 if self.classifier.n_channels_ == 1 else 2
-        arrays = []
-        for stream in streams:
-            values = (
-                stream.values
-                if isinstance(stream, ComposedStream)
-                else np.asarray(stream, dtype=float)
-            )
-            if values.ndim != expected_ndim:
-                raise ValueError(
-                    "stream values must be 1-D"
-                    if expected_ndim == 1
-                    else "stream values must be 2-D (n_samples, n_channels) "
-                    "for a multichannel classifier"
-                )
-            arrays.append(values)
-        sessions = self.open_sessions(len(arrays))
-        longest = max(arr.shape[0] for arr in arrays)
-        for offset in range(0, longest, self.chunk_size):
-            for session, values in zip(sessions, arrays):
-                if offset < values.shape[0]:
-                    session.extend(values[offset : offset + self.chunk_size])
-        return [session.finalize() for session in sessions]
+            session.extend(values)
+            per_stream.append(session.finalize())
+        return per_stream
 
     def evaluate(
         self,

